@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT, TWO_PI
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .params import SystemParams
 from .pipeline import PipelineSettings
 
@@ -82,8 +82,6 @@ class RunConfig:
     derivative_method: str = "finite-difference"
     branch: str | None = None
     diffusion_tol: float = 1e-7
-    diffusion_periods: int = 2000
-    diffusion_nodes: int = 10
     fd_step: float | None = None
 
     out_path: str = "sweep.csv"
@@ -95,8 +93,6 @@ class RunConfig:
             kappa_meas_mode=self.kappa_meas_mode,
             branch=self.branch,
             diffusion_tol=self.diffusion_tol,
-            diffusion_periods=self.diffusion_periods,
-            diffusion_nodes=self.diffusion_nodes,
             vacuum_mode=self.vacuum_mode,
             derivative_method=self.derivative_method,
             fd_step=self.fd_step,
@@ -152,7 +148,7 @@ class RunConfig:
                 omega_m=self.omega_m, mass=self.mass, temperature=temperature,
                 g_freq=g_freq, power=power, delta0=d0,
                 omega_laser=self.omega_laser, cutoff=cut)
-        except Exception as exc:
+        except DomainError as exc:
             raise ConfigError(f"invalid parameter set: {exc}") from exc
         meas = {
             "omega_k": omega_k,
@@ -284,13 +280,9 @@ def _parse_switches(cfg: RunConfig, section) -> RunConfig:
 
 def _parse_tolerances(cfg: RunConfig, section) -> RunConfig:
     updates = {}
-    known = {"diffusion_tol", "diffusion_periods", "diffusion_nodes", "fd_step"}
+    known = {"diffusion_tol", "fd_step"}
     if "diffusion_tol" in section:
         updates["diffusion_tol"] = section.getfloat("diffusion_tol")
-    if "diffusion_periods" in section:
-        updates["diffusion_periods"] = section.getint("diffusion_periods")
-    if "diffusion_nodes" in section:
-        updates["diffusion_nodes"] = section.getint("diffusion_nodes")
     if "fd_step" in section:
         updates["fd_step"] = section.getfloat("fd_step")
     unknown = set(section.keys()) - known

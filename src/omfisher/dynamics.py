@@ -14,10 +14,10 @@ where M1 carries the delta-correlated optical noise (kappa/2 on the optical
 diagonal, with the half-weight endpoint convention int_0^inf delta f = f(0)/2)
 and the Brownian kernel hbar*D_R(tau) in the momentum slot.  The Brownian
 part reduces to a rank-2 update e1 u^T + u e1^T with
-u = int k(tau) exp(A tau) e1 dtau, evaluated by composite Gauss-Legendre
-panels after eigendecomposition of A (panels split at the mechanical
-half-period; a finer grid resolves the optical rotation while those modes
-are alive).
+u = int k(tau) exp(A tau) e1 dtau = V (c o L(lambda)) in the drift
+eigenbasis, with the Laplace transform L of the kernel in closed form; an
+ill-conditioned eigenbasis falls back to the frequency-domain integral
+(also the oracle), and the transient oracle keeps a tau quadrature.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import quad_vec
 from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
+from scipy.special import exp1, zeta
 
 from .constants import HBAR, KB
 from .errors import (DegenerateLyapunovError, DomainError, NumericalError,
@@ -44,6 +46,7 @@ __all__ = [
     "drift_matrix",
     "matrix_exponential",
     "diffusion_matrix",
+    "brownian_laplace",
     "brownian_diffusion_freq",
     "lyapunov_solve",
     "stationary_covariance",
@@ -51,6 +54,12 @@ __all__ = [
 ]
 
 _E1 = np.array([0.0, 1.0, 0.0, 0.0])
+_MAX_TERMS = 1 << 16
+# Taylor coefficients zeta(2k+2)/pi^(2k+2) of brownian_laplace's h(y) in y^2
+_H_TAYLOR = zeta(2.0 * np.arange(1, 13)) / np.pi ** (2.0 * np.arange(1, 13))
+# coefficients (-1)^m (2m)! and (-1)^m (2m+1)! of the series of f and g in 1/z^2
+_F_ASYM = np.array([(-1.0) ** m * math.factorial(2 * m) for m in range(18)])
+_G_ASYM = np.array([(-1.0) ** m * math.factorial(2 * m + 1) for m in range(18)])
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ class DiffusionMatrix:
     matrix_scaled: np.ndarray
     scale: np.ndarray
     error_estimate: float      # relative, scaled space
-    tail_bound: float          # relative truncation bound of the tau integral
+    path: str                  # "laplace" or "frequency"
 
 
 @dataclass(frozen=True)
@@ -129,12 +138,7 @@ def _scaled_kernel(params: SystemParams, tau: np.ndarray) -> np.ndarray:
 
 
 def _tau_grid(params: SystemParams, n_periods: int, nodes: int):
-    """Deterministic quadrature grid for the Brownian tau integral.
-
-    Built from static parameters only (not from the computed drift
-    eigenvalues) so that grids at g and g +- h coincide and quadrature error
-    cancels in finite differences.
-    """
+    """Deterministic quadrature grid for the Brownian tau integral."""
     kap, wm, cut, d0 = params.kappa, params.omega_m, params.cutoff, params.delta0
     omega_fast = max(abs(d0), kap, cut, wm)
     w2 = math.pi / wm
@@ -165,73 +169,125 @@ def _eigen(a_scaled: np.ndarray):
     return lam, vec, c, cond
 
 
-def _brownian_u(params, lam, vec, c, taus, wts):
-    """u = int k(tau) exp(A tau) e1 dtau via the eigenbasis."""
-    k = _scaled_kernel(params, taus)
-    phases = np.exp(np.outer(lam, taus))
-    integrals = phases @ (wts * k)
-    u = np.real(vec @ (c * integrals))
-    return u, integrals
+def _aux_fg(z):
+    """Auxiliary functions f(z), g(z) of DLMF 6.2(ii), Re z > 0; above
+    |z| = 40, where the exponentials of the E1 form overflow, their
+    asymptotic series (DLMF 6.12.3-4), exact to rounding there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        qm, qp = np.exp(-1j * z) * exp1(-1j * z), np.exp(1j * z) * exp1(1j * z)
+    w, big = 1.0 / (z * z), np.abs(z) > 40.0
+    return (np.where(big, polyval(w, _F_ASYM) / z, (qm - qp) / 2j),
+            np.where(big, polyval(w, _G_ASYM) * w, (qm + qp) / 2.0))
+
+
+def _truncation_bound(params: SystemParams, n: int, amod):
+    """Bound on the tail of brownian_laplace's sum after n terms at |lambda| = amod."""
+    w_t = 2.0 * KB * params.temperature / HBAR
+    r2 = np.minimum((amod / (math.pi * w_t * (n + 1))) ** 2, 1.0)
+    with np.errstate(divide="ignore"):
+        return 16.0 * params.gamma * params.cutoff ** 3 * amod / (
+            3.0 * math.pi ** 5 * params.omega_m * n ** 3 * w_t ** 3 * (1.0 - r2))
+
+
+def _matsubara_terms(params: SystemParams, tol: float) -> int:
+    """Smallest power of two whose truncation bound at |lambda| = 2 a_max,
+    relative to ||D|| >= kappa/sqrt 2, is tol/10 (margin for the weights
+    |V c|).  a_max bounds the drift rates from static parameters, not the
+    eigenvalues at the point, so the count is the same at g and g +- h."""
+    a_max = params.omega_m + params.gamma + params.kappa + abs(params.delta0)
+    n = 1
+    while (rel := 2.0 ** 1.5 / params.kappa
+           * _truncation_bound(params, n, 2.0 * a_max)) > 0.1 * tol:
+        if 2 * n > _MAX_TERMS:
+            raise QuadratureError(
+                f"T = {params.temperature:.3e} K: Matsubara truncation bound "
+                f"{rel:.3e} at the cap of {n} terms exceeds tol/10", estimate=rel)
+        n *= 2
+    return n
+
+
+def brownian_laplace(params: SystemParams, lam, tol: float = 1e-7):
+    """L(lambda) = int_0^inf k(tau) e^(lambda tau) dtau, k = hbar*D_R in
+    zero-point momentum units, Re lambda < 0, in closed form.
+
+    With a = -lambda, z = a/W, pref = 4 gamma/(pi omega_m), f and g of DLMF
+    6.2(ii) and the Matsubara series of w coth(hbar w/2kT) (nu_n = n pi w_T,
+    w_T = 2 kB T/hbar; Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)):
+    L = pref a g(z) at T = 0, else
+        L = pref [w_T f(z) + 2 w_T a sum_n (nu_n f(nu_n/W) - a f(z))/(nu_n^2 - a^2)].
+    The summand splits into (nu f(nu/W) - W), kept for n <= N and bounded by
+    2 W^3/nu^2, and (W - a f(z)), summed in closed form through
+    h(y) = sum_n 1/(n^2 pi^2 - y^2) = 1/(2y^2) - cot(y)/(2y).
+    Returns L, dL/dlambda and the bound on the dropped tail.
+    """
+    a = -np.asarray(lam, dtype=complex)
+    W, pref = params.cutoff, 4.0 * params.gamma / (math.pi * params.omega_m)
+    z = a / W
+    f, g = _aux_fg(z)
+    if params.temperature == 0.0:
+        return pref * a * g, pref * (1.0 - g - z * f), np.zeros(a.shape)
+    w_t = 2.0 * KB * params.temperature / HBAR
+    n = _matsubara_terms(params, tol)
+    nu = math.pi * w_t * np.arange(1, n + 1)
+    t = nu * _aux_fg(nu / W)[0].real - W
+    den = nu ** 2 - (a * a)[:, None]
+    y = a / w_t  # h by its Taylor series below |y| = 1/2, against cancellation
+    cot, small = 1.0 / np.tan(y), np.abs(y) < 0.5
+    h = np.where(small, polyval(y * y, _H_TAYLOR), (0.5 / y - 0.5 * cot) / y)
+    dh = np.where(small, 2.0 * y * polyval(y * y, polyder(_H_TAYLOR)),
+                  (0.5 + 0.5 * cot * cot - h) / y - 0.5 / y ** 3)
+    inner = np.sum(t / den, axis=1) + (W - a * f) * h / w_t ** 2
+    dinner = (2.0 * a * np.sum(t / den ** 2, axis=1) + (z * g - f) * h / w_t ** 2
+              + (W - a * f) * dh / w_t ** 3)  # d inner / da
+    return (pref * w_t * (f + 2.0 * a * inner),
+            pref * w_t * (g / W - 2.0 * inner - 2.0 * a * dinner),
+            _truncation_bound(params, n, np.abs(a)))
 
 
 def diffusion_matrix(params: SystemParams, a: DriftMatrix,
-                     tol: float = 1e-7, n_periods: int = 2000,
-                     nodes: int = 10) -> DiffusionMatrix:
-    """Assemble D: optical delta part plus integrated Brownian part.
+                     tol: float = 1e-7) -> DiffusionMatrix:
+    """Assemble D: optical delta part plus the Brownian part.
 
     The half-weight endpoint convention for the delta noise puts exactly
     kappa/2 on the optical diagonal, reproducing the g = 0 optical vacuum.
-    The error estimate compares the Gauss-Legendre rule against a
-    three-orders-lower one on the same panels; the tail bound uses the
-    kernel envelope at the truncation time with the
-    oscillatory-cancellation credit 1/|Im lambda|.
+    The error estimate is 2 |du| / ||D||, with du bounded by the truncation
+    bound of brownian_laplace, or by quad_vec's estimate when cond(V) >= 1e10
+    hands u to the frequency-domain integral.
     """
     if not is_stable(a.matrix_scaled):
         raise UnstableDriftError("diffusion matrix requires a Hurwitz drift matrix")
 
-    d_scaled = np.zeros((4, 4))
-    d_scaled[2, 2] = d_scaled[3, 3] = params.kappa / 2.0
-
     lam, vec, c, cond = _eigen(a.matrix_scaled)
-    taus, wts, t_end = _tau_grid(params, n_periods, nodes)
-
     if cond < 1e10:
-        u, _ = _brownian_u(params, lam, vec, c, taus, wts)
-        taus_lo, wts_lo, _ = _tau_grid(params, n_periods, max(4, nodes - 3))
-        u_lo, _ = _brownian_u(params, lam, vec, c, taus_lo, wts_lo)
-        err_abs = float(np.max(np.abs(u - u_lo)))
+        lap, _, bound = brownian_laplace(params, lam, tol)
+        u = np.real(vec @ (c * lap))
+        brown = np.outer(_E1, u) + np.outer(u, _E1)
+        err_abs = float(np.max(np.abs(vec) @ (np.abs(c) * bound)))
+        path = "laplace"
     else:
-        u = brownian_diffusion_freq(params, a, _u_only=True)
-        err_abs = tol * float(np.max(np.abs(u)))  # quad_vec already met tol
-
-    brown = np.outer(_E1, u) + np.outer(u, _E1)
-    d_scaled = d_scaled + brown
+        brown, err_abs = brownian_diffusion_freq(params, a)
+        path = "frequency"
+    d_scaled = np.diag([0.0, 0.0, 0.5 * params.kappa, 0.5 * params.kappa]) + brown
     d_scaled = 0.5 * (d_scaled + d_scaled.T)
 
-    k_end = abs(float(_scaled_kernel(params, np.array([t_end]))[0]))
-    decay = math.exp(max(lam.real) * t_end)
-    osc = max(params.omega_m, 1.0 / t_end)
-    tail_abs = k_end * decay / osc
-    norm = float(np.linalg.norm(d_scaled)) + 1e-300
-    rel_err = 2.0 * err_abs / norm
-    rel_tail = 2.0 * tail_abs / norm
-    if rel_err > tol:
+    rel_err = 2.0 * err_abs / (float(np.linalg.norm(d_scaled)) + 1e-300)
+    if not rel_err <= tol:
         raise QuadratureError(
-            f"Brownian quadrature estimate {rel_err:.3e} exceeds tol {tol:.3e}",
+            f"Brownian diffusion ({path}) error {rel_err:.3e} exceeds tol {tol:.3e}",
             estimate=rel_err)
 
     d_si = d_scaled * np.outer(a.scale, a.scale)
     return DiffusionMatrix(matrix=d_si, matrix_scaled=d_scaled, scale=a.scale,
-                           error_estimate=rel_err, tail_bound=rel_tail)
+                           error_estimate=rel_err, path=path)
 
 
 def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix,
-                            rtol: float = 1e-10, _u_only: bool = False):
-    """Frequency-domain evaluation of the Brownian block (cross-check path).
-
-    Uses int_0^inf cos(w tau) exp(A tau) dtau = -Re (A + i w)^(-1) to turn
-    the tau integral into a smooth spectral integral with a narrow feature
-    at the mechanical resonance.
+                            rtol: float = 1e-10):
+    """Frequency-domain evaluation of the Brownian block (oracle and
+    ill-conditioned-eigenbasis path).  Uses int_0^inf cos(w tau) exp(A tau)
+    dtau = -Re (A + i w)^(-1) to turn the tau integral into a smooth
+    spectral integral with a narrow feature at the mechanical resonance.
+    Returns the block e1 u^T + u e1^T and quad_vec's error estimate of u.
     """
     m, wm, gam, T, W = (params.mass, params.omega_m, params.gamma,
                         params.temperature, params.cutoff)
@@ -254,11 +310,9 @@ def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix,
 
     upper = 60.0 * W
     pts = [p for p in (wm, abs(params.delta0), params.kappa) if 0 < p < upper]
-    u, _ = quad_vec(integrand, 0.0, upper, epsrel=rtol, epsabs=0.0,
-                    points=sorted(set(pts)), limit=2000)
-    if _u_only:
-        return u
-    return np.outer(_E1, u) + np.outer(u, _E1)
+    u, err = quad_vec(integrand, 0.0, upper, epsrel=rtol, epsabs=0.0,
+                      points=sorted(set(pts)), limit=2000)
+    return np.outer(_E1, u) + np.outer(u, _E1), float(err)
 
 
 def lyapunov_solve(a: np.ndarray, d: np.ndarray):

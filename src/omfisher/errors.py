@@ -22,7 +22,7 @@ class NumericalError(OmfisherError, RuntimeError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge; carries the partial estimate."""
+    """A quadrature or series missed its tolerance; carries the estimate."""
 
     def __init__(self, message, estimate=None, details=None):
         super().__init__(message, details)

@@ -150,7 +150,7 @@ def kernel_di(bath: BathSpec, tau: float) -> KernelValue:
 
 
 def dr_closed_array(bath: BathSpec, tau: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form D_R, used by the diffusion integrator."""
+    """Vectorized closed-form D_R, used by the transient oracle."""
     return _closed_pair(bath, tau)[0]
 
 

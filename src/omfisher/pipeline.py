@@ -17,8 +17,8 @@ import numpy as np
 
 from . import fisher as _fisher
 from .dynamics import (CovarianceMatrix4, DiffusionMatrix, DriftMatrix,
-                       diffusion_matrix, drift_matrix, lyapunov_solve,
-                       stationary_covariance, _eigen, _scaled_kernel, _tau_grid)
+                       brownian_laplace, diffusion_matrix, drift_matrix,
+                       lyapunov_solve, stationary_covariance, _E1, _eigen)
 from .errors import DomainError
 from .fisher import FisherReport, cfi_bhd, cfi_ideal, qfi_gaussian, theta_max
 from .output import MeasurementSpec, OutputCovariance2, output_covariance
@@ -47,8 +47,6 @@ class PipelineSettings:
     kappa_meas_mode: str = "kappa_in"  # or "kappa_total"
     branch: str | None = None
     diffusion_tol: float = 1e-7
-    diffusion_periods: int = 2000
-    diffusion_nodes: int = 10
     vacuum_mode: str = "identity"  # or "printed_sinc"
     derivative_method: str = "finite-difference"
     fd_step: float | None = None
@@ -87,9 +85,7 @@ def cavity_covariance(params: SystemParams,
     ss = steady_state(params, branch=settings.branch,
                       epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
     a = drift_matrix(params, ss)
-    d = diffusion_matrix(params, a, tol=settings.diffusion_tol,
-                         n_periods=settings.diffusion_periods,
-                         nodes=settings.diffusion_nodes)
+    d = diffusion_matrix(params, a, tol=settings.diffusion_tol)
     cov = stationary_covariance(a, d)
     return CavityState(steady=ss, drift=a, diffusion=d, covariance=cov)
 
@@ -184,13 +180,8 @@ def _cavity_derivative_lyapunov(params: SystemParams,
     with A' from implicit differentiation of the steady state and D' from
     the Frechet derivative of exp(A tau) inside the Brownian integral.
     """
-    ss = steady_state(params, branch=settings.branch,
-                      epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
-    a = drift_matrix(params, ss)
-    d = diffusion_matrix(params, a, tol=settings.diffusion_tol,
-                         n_periods=settings.diffusion_periods,
-                         nodes=settings.diffusion_nodes)
-    sigma_s = stationary_covariance(a, d).matrix_scaled
+    cav = cavity_covariance(params, settings)
+    ss, a, sigma_s = cav.steady, cav.drift, cav.covariance.matrix_scaled
 
     g = params.g_freq
     _, dalpha, ddelta = _steady_derivatives(params, ss)
@@ -200,30 +191,18 @@ def _cavity_derivative_lyapunov(params: SystemParams,
     da[2, 3] = ddelta
     da[3, 2] = -ddelta
 
-    # Frechet derivative of exp(A tau) contracted with the kernel:
-    # d/dg int k(tau) e^(A tau) e1 dtau
+    # Frechet derivative of exp(A tau) contracted with the kernel,
+    # d/dg int k(tau) e^(A tau) e1 dtau: divided differences of L(lambda)
     lam, vec, c_vec, _ = _eigen(a.matrix_scaled)
-    taus, wts, _ = _tau_grid(params, settings.diffusion_periods,
-                             settings.diffusion_nodes)
-    kw = wts * _scaled_kernel(params, taus)
-    phases = np.exp(np.outer(lam, taus))
-    ints = phases @ kw                 # int k e^(lam tau)
-    ints_tau = phases @ (kw * taus)    # int k tau e^(lam tau)
-
+    lap, dlap, _ = brownian_laplace(params, lam, settings.diffusion_tol)
     b_mat = np.linalg.solve(vec, da.astype(complex) @ vec)
-    lam_scale = np.max(np.abs(lam))
-    theta = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            dl = lam[j] - lam[i]
-            if abs(dl) < 1e-8 * lam_scale:
-                theta[i, j] = ints_tau[i]
-            else:
-                theta[i, j] = (ints[j] - ints[i]) / dl
+    dl = lam[None, :] - lam[:, None]
+    close = np.abs(dl) < 1e-8 * np.max(np.abs(lam))
+    theta = np.where(close, dlap[:, None],
+                     (lap[None, :] - lap[:, None]) / np.where(close, 1.0, dl))
     xi = (b_mat * theta) @ c_vec
     w_int = np.real(vec @ xi)
-    e1 = np.array([0.0, 1.0, 0.0, 0.0])
-    d_brown_prime = np.outer(e1, w_int) + np.outer(w_int, e1)
+    d_brown_prime = np.outer(_E1, w_int) + np.outer(w_int, _E1)
 
     rhs = da @ sigma_s + sigma_s @ da.T + d_brown_prime
     sigma_prime, _ = lyapunov_solve(a.matrix_scaled, rhs)
@@ -269,6 +248,7 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
         diagnostics={
             "lyapunov_residual": cavity.covariance.residual,
             "diffusion_error": cavity.diffusion.error_estimate,
+            "diffusion_path": cavity.diffusion.path,
             "branch_count": cavity.steady.branch_count,
             "stable": cavity.steady.stable,
             "theta_max_degenerate": bool(tm.degenerate),

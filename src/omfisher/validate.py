@@ -1,7 +1,8 @@
 """Oracle validation suites behind `omfisher validate` and the test surface.
 
 Each check pits an implementation path against an independent oracle:
-closed-form kernels vs adaptive quadrature, Lyapunov solve vs transient
+closed-form kernels vs adaptive quadrature, the closed-form Brownian
+diffusion vs the frequency-domain integral, Lyapunov solve vs transient
 integration, closed-form output covariance vs the double integral, the
 Gaussian QFI formula vs the truncated-Fock SLD oracle, and the homodyne CFI
 formula vs numeric Fisher information of the outcome pdf (including the
@@ -20,8 +21,8 @@ from .constants import TWO_PI
 from .errors import OmfisherError
 from .fisher import cfi_bhd, cfi_ideal, qfi_gaussian, theta_max
 from .kernels import BathSpec, kernel_di, kernel_di_numeric, kernel_dr, kernel_dr_numeric
-from .dynamics import (diffusion_matrix, drift_matrix, stationary_covariance,
-                       transient_covariance)
+from .dynamics import (brownian_diffusion_freq, diffusion_matrix, drift_matrix,
+                       stationary_covariance, transient_covariance)
 from .oracle import cfi_numeric, qfi_fock_converged
 from .output import MeasurementSpec, homodyne_variance, output_covariance, \
     output_covariance_numeric
@@ -110,11 +111,20 @@ def _suite_lyapunov(tol: float) -> list[CheckResult]:
         elapsed += time.perf_counter() - t0
         worst = max(worst, cov.residual)
     per_point = elapsed / len(points)
+    worst_freq = 0.0
+    for p in _transient_points():
+        a = drift_matrix(p, steady_state(p))
+        brown = diffusion_matrix(p, a).matrix_scaled - np.diag([0, 0, 1, 1]) * p.kappa / 2
+        gap = np.linalg.norm(brownian_diffusion_freq(p, a)[0] - brown) / np.linalg.norm(brown)
+        worst_freq = max(worst_freq, float(gap))
     return [
         CheckResult("lyapunov", "relative residual, baseline + 50 random points",
                     worst <= tol, worst, tol),
         CheckResult("lyapunov", "runtime per point [s]", per_point < 0.05,
                     per_point, 0.05),
+        CheckResult("lyapunov",
+                    "Brownian diffusion: closed form vs frequency-domain integral",
+                    worst_freq <= tol, worst_freq, tol, "5 transient-suite points"),
     ]
 
 

@@ -82,6 +82,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_removed_tolerance_keys_rejected(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("[tolerances]\ndiffusion_periods = 2000\ndiffusion_nodes = 10\n")
+        with pytest.raises(ConfigError, match="unknown \\[tolerances\\] keys"):
+            load_config(str(path))
+
+    def test_materialize_wraps_domain_errors_only(self):
+        from dataclasses import replace
+        with pytest.raises(ConfigError):
+            replace(RunConfig(), temperature=-1.0).materialize()
+        with pytest.raises(TypeError):
+            replace(RunConfig(), temperature="11").materialize()
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[plotting]\nx = 1\n")

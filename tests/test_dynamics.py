@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from omfisher.constants import HBAR, TWO_PI
 from omfisher.errors import (DegenerateLyapunovError, DomainError,
-                             UnstableDriftError)
-from omfisher.dynamics import (brownian_diffusion_freq, diffusion_matrix,
-                               drift_matrix, lyapunov_solve, matrix_exponential,
-                               stationary_covariance, transient_covariance)
+                             QuadratureError, UnstableDriftError)
+from omfisher.dynamics import (DriftMatrix, brownian_diffusion_freq,
+                               brownian_laplace, diffusion_matrix, drift_matrix,
+                               lyapunov_solve, matrix_exponential,
+                               stationary_covariance, transient_covariance,
+                               _matsubara_terms)
 from omfisher.params import rossi_params, steady_state
 
 
@@ -114,22 +116,88 @@ class TestDiffusionMatrix:
         brown2 = d2.matrix_scaled - delta
         assert np.allclose(brown2, 2.0 * brown1, rtol=1e-10)
 
-    def test_frequency_domain_cross_check(self, rossi_point):
-        p, _, a, d = rossi_point
-        delta = np.diag([0.0, 0.0, p.kappa / 2.0, p.kappa / 2.0])
-        brown_t = d.matrix_scaled - delta
-        brown_f = brownian_diffusion_freq(p, a)
-        assert np.linalg.norm(brown_f - brown_t) / np.linalg.norm(brown_t) < 1e-7
-
-    def test_frequency_domain_cross_check_zero_temperature(self):
-        p = rossi_params(temperature=0.0)
-        ss = steady_state(p)
-        a = drift_matrix(p, ss)
+    @pytest.mark.parametrize("temperature", [0.0, 0.01, 0.5, 11.0, 300.0])
+    def test_frequency_domain_cross_check(self, temperature):
+        p = rossi_params(temperature=temperature)
+        a = drift_matrix(p, steady_state(p))
         d = diffusion_matrix(p, a)
+        assert d.path == "laplace"
         delta = np.diag([0.0, 0.0, p.kappa / 2.0, p.kappa / 2.0])
         brown_t = d.matrix_scaled - delta
-        brown_f = brownian_diffusion_freq(p, a)
-        assert np.linalg.norm(brown_f - brown_t) / np.linalg.norm(brown_t) < 1e-6
+        brown_f, _ = brownian_diffusion_freq(p, a)
+        assert np.linalg.norm(brown_f - brown_t) / np.linalg.norm(brown_t) < 1e-10
+
+    def test_far_detuned_matches_frequency_integral(self):
+        """|Im lambda| ~ 840 W: f and g come from their asymptotic series,
+        where the exponentials of the E1 form overflow."""
+        p = rossi_params(delta0=-3e10)
+        a = drift_matrix(p, steady_state(p))
+        brown_t = diffusion_matrix(p, a).matrix_scaled \
+            - np.diag([0.0, 0.0, p.kappa / 2.0, p.kappa / 2.0])
+        brown_f, _ = brownian_diffusion_freq(p, a)
+        assert np.linalg.norm(brown_f - brown_t) / np.linalg.norm(brown_t) < 1e-10
+
+    def test_term_count_fixed_across_coupling_steps(self):
+        """The Matsubara term count cannot differ between g and g +- h, so
+        the truncation cancels in finite-difference derivatives."""
+        p0 = rossi_params()
+        for temperature in (1e-6, 1e-4, 0.01, 11.0):
+            for g in np.linspace(0.0, 26.0 * p0.g_freq, 27):
+                counts = {_matsubara_terms(p0.with_(temperature=temperature,
+                                                    g_freq=g * s), 1e-7)
+                          for s in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)}
+                assert len(counts) == 1
+
+    def test_microkelvin_meets_tolerance(self):
+        p = rossi_params(temperature=1e-6)
+        d = diffusion_matrix(p, drift_matrix(p, steady_state(p)), tol=1e-7)
+        assert d.path == "laplace"
+        assert 0.0 < d.error_estimate <= 1e-7
+
+    def test_temperature_beyond_term_cap_raises(self):
+        p = rossi_params(temperature=2e-8)
+        with pytest.raises(QuadratureError) as info:
+            diffusion_matrix(p, drift_matrix(p, steady_state(p)))
+        assert 1e-8 < info.value.estimate < math.inf  # tol/10 = 1e-8 missed
+        assert f"{info.value.estimate:.3e}" in str(info.value)
+
+    def test_ill_conditioned_eigenbasis_uses_frequency_path(self, rossi_point):
+        """A near-defective mechanical block (double pole split by 1e-12)
+        sends u to the frequency-domain integral; the reported error is the
+        one quad_vec returned."""
+        p, _, a, _ = rossi_point
+        m = np.zeros((4, 4))
+        m[0, 0], m[0, 1], m[1, 1] = -p.omega_m, p.omega_m, -p.omega_m * (1.0 + 1e-12)
+        m[2:, 2:] = a.matrix_scaled[2:, 2:]
+        drift = DriftMatrix(matrix=m, matrix_scaled=m, scale=a.scale)
+        assert np.linalg.cond(np.linalg.eig(m)[1]) >= 1e10
+        d = diffusion_matrix(p, drift)
+        brown_f, err = brownian_diffusion_freq(p, drift)
+        assert d.path == "frequency"
+        assert err > 0.0
+        assert d.error_estimate == 2.0 * err / np.linalg.norm(d.matrix_scaled)
+        assert np.array_equal(d.matrix_scaled[:2, :2], brown_f[:2, :2])
+
+    def test_laplace_derivative_matches_differences(self):
+        """dL/dlambda (f' = -g, g' = f - 1/z) against a 4-point difference
+        of L; 1e-4 K puts the optical eigenvalues on the cot branch of the
+        closed Matsubara sum and the mechanical ones on its Taylor branch."""
+        for temperature in (0.0, 1e-4, 0.01, 11.0):
+            p = rossi_params(temperature=temperature)
+            lam = np.linalg.eigvals(drift_matrix(p, steady_state(p)).matrix_scaled)
+            _, dlap, _ = brownian_laplace(p, lam)
+            for step in 1e-5 * np.abs(lam) * np.array([[1.0], [1j]]):
+                lp, lm, lp2, lm2 = (brownian_laplace(p, lam + s)[0]
+                                    for s in (step, -step, 2 * step, -2 * step))
+                diff = (8.0 * (lp - lm) - (lp2 - lm2)) / (12.0 * step)
+                assert np.max(np.abs(diff - dlap) / np.abs(dlap)) < 1e-8
+
+    def test_report_names_diffusion_path(self):
+        from omfisher.pipeline import build_measurement, fisher_report
+        p = rossi_params()
+        rep = fisher_report(p, build_measurement(p))
+        assert rep.diagnostics["diffusion_path"] == "laplace"
+        assert 0.0 <= rep.diagnostics["diffusion_error"] <= 1e-7
 
     def test_unstable_drift_rejected(self, rossi_point):
         p, ss, a, _ = rossi_point
