@@ -134,19 +134,15 @@ def _closed_pair(bath: BathSpec, tau):
 
 
 def kernel_dr(bath: BathSpec, tau: float) -> KernelValue:
-    """Closed-form symmetric kernel D_R(tau)."""
+    """Closed-form symmetric kernel D_R(tau) and antisymmetric kernel
+    D_I(tau); ``kernel_di`` is the same function."""
     if not math.isfinite(tau):
         raise DomainError("tau must be finite")
     d_r, d_i = _closed_pair(bath, np.array([tau]))
     return KernelValue(tau=tau, d_r=float(d_r[0]), d_i=float(d_i[0]))
 
 
-def kernel_di(bath: BathSpec, tau: float) -> KernelValue:
-    """Closed-form antisymmetric kernel D_I(tau)."""
-    if not math.isfinite(tau):
-        raise DomainError("tau must be finite")
-    d_r, d_i = _closed_pair(bath, np.array([tau]))
-    return KernelValue(tau=tau, d_r=float(d_r[0]), d_i=float(d_i[0]))
+kernel_di = kernel_dr
 
 
 def dr_closed_array(bath: BathSpec, tau: np.ndarray) -> np.ndarray:

@@ -7,6 +7,13 @@ coupling, and evaluates the SLD sum
 
     H = sum_{i,j: p_i + p_j > eps} 2 |<i| drho |j>|^2 / (p_i + p_j).
 
+Every operator involved preserves photon-number parity, so rho splits into
+an even and an odd block that are built and diagonalised separately: the
+squeeze exp(r K0), K0 = (a^dag^2 - a^2)/2, comes from the eigenvectors of
+the tridiagonal r-free generator of each block, the rotation exp(i phi n)
+is a phase on each element, and the SLD sum runs block by block (d rho has
+no elements between the parities).
+
 The numeric CFI integrates (d_g ln P)^2 P over the outcome axis with
 central-difference log-derivatives.
 """
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, NumericalError, UnphysicalStateError
 
@@ -60,7 +67,17 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
 
     Decomposes sigma = S (nu I) S^T with S a rotation times a squeeze and
     nu = sqrt(det sigma) >= 1/2; builds the thermal state with mean
-    occupation nu - 1/2 and applies the squeeze and rotation operators.
+    occupation nu - 1/2 and applies the squeeze and rotation operators,
+    truncated to photon numbers 0..n_max.
+
+    Each parity block is built on its own.  There the squeeze generator K0
+    is real, skew-symmetric and tridiagonal with off-diagonals
+    b_m = sqrt((n+1)(n+2))/2, and D = diag(i^m) turns it into -i B with B
+    real symmetric, so exp(r K0) = Re[(D Q) e^{-i r Lambda} (D Q)^H] from
+    B = Q Lambda Q^T.  B does not depend on r, so the states at g +- h that
+    the oracle differences share one decomposition and its round-off.  The
+    block is then (S p) S^T in real arithmetic, and the rotation
+    exp(i phi n) multiplies rho_jk by e^{i phi (j - k)}.
     """
     sigma = np.asarray(sigma, dtype=float)
     det = float(np.linalg.det(sigma))
@@ -87,18 +104,34 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
     else:
         log_p = ns * math.log(nbar / (nbar + 1.0)) - math.log(nbar + 1.0)
         diag = np.exp(log_p)
-    rho = np.diag(diag.astype(complex))
 
-    a = _ladder(n_max)
-    adag = a.T
     # squeeze along the x axis by e^r, then rotate the stretched axis onto
     # the leading eigenvector (U = e^{+i phi n} maps sigma -> R sigma R^T)
-    sq = expm(0.5 * r * (adag @ adag - a @ a))
-    rot = expm(1j * phi * (adag @ a))
-    u = rot @ sq
-    rho = u @ rho @ u.conj().T
+    rho_real = np.zeros((n_max + 1, n_max + 1))
+    for parity in (0, 1):
+        n = ns[parity::2]
+        if n.size == 0:
+            continue
+        s = _squeeze_block(n, r)
+        rho_real[parity::2, parity::2] = (s * diag[parity::2]) @ s.T
+    phase = np.exp(1j * phi * ns)
+    rho = phase[:, None] * rho_real * phase.conj()
     deficit = abs(1.0 - float(np.real(np.trace(rho))))
     return FockState(n_max=n_max, rho=rho, trace_deficit=deficit)
+
+
+def _squeeze_block(n: np.ndarray, r: float) -> np.ndarray:
+    """exp(r K0) restricted to the photon numbers ``n`` of one parity."""
+    b = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+    lam, q = eigh_tridiagonal(np.zeros(n.size), b)
+    # element (j, l) is Re[i^(j-l) (C - i S)_jl] with C = Q cos(r Lambda) Q^T
+    # and S = Q sin(r Lambda) Q^T.  C is formed as I - Q (1 - cos) Q^T, so
+    # r = 0 gives the identity exactly and its round-off shrinks with r.
+    c = np.eye(n.size) - (q * (2.0 * np.sin(0.5 * r * lam) ** 2)) @ q.T
+    s = (q * np.sin(r * lam)) @ q.T
+    k = np.arange(n.size)
+    i_pow = np.array([1.0, 1j, -1.0, -1j])[(k[:, None] - k[None, :]) % 4]
+    return np.real(i_pow * (c - 1j * s))
 
 
 def fock_moments(state: FockState) -> np.ndarray:
@@ -120,20 +153,30 @@ def fock_moments(state: FockState) -> np.ndarray:
 
 
 def qfi_fock(rho_minus: FockState, rho_plus: FockState, h: float) -> float:
-    """QFI from the operator SLD definition with finite-difference d rho."""
+    """QFI from the operator SLD definition with finite-difference d rho.
+
+    The states must be parity-symmetric (no element between an even and an
+    odd photon number), as every zero-mean Gaussian state is; the SLD sum
+    then runs over the even and the odd block separately.
+    """
     if rho_minus.n_max != rho_plus.n_max:
         raise DomainError("Fock states must share the truncation")
     if max(rho_minus.trace_deficit, rho_plus.trace_deficit) > 1e-10:
         raise DomainError("trace deficit too large; increase n_max")
-    drho = (rho_plus.rho - rho_minus.rho) / (2.0 * h)
-    rho_mid = 0.5 * (rho_plus.rho + rho_minus.rho)
-    pvals, pvecs = np.linalg.eigh(rho_mid)
-    d_in_eig = pvecs.conj().T @ drho @ pvecs
-    psum = pvals[:, None] + pvals[None, :]
-    mask = psum > _SLD_EPS
-    terms = np.zeros_like(psum)
-    terms[mask] = 2.0 * np.abs(d_in_eig[mask]) ** 2 / psum[mask]
-    return float(terms.sum())
+    for st in (rho_minus, rho_plus):
+        if np.any(st.rho[0::2, 1::2]) or np.any(st.rho[1::2, 0::2]):
+            raise DomainError("Fock state couples even and odd photon numbers")
+    total = 0.0
+    for parity in (0, 1):
+        blk = np.s_[parity::2, parity::2]
+        drho = (rho_plus.rho[blk] - rho_minus.rho[blk]) / (2.0 * h)
+        rho_mid = 0.5 * (rho_plus.rho[blk] + rho_minus.rho[blk])
+        pvals, pvecs = np.linalg.eigh(rho_mid)
+        d_in_eig = pvecs.conj().T @ drho @ pvecs
+        psum = pvals[:, None] + pvals[None, :]
+        mask = psum > _SLD_EPS
+        total += float(np.sum(2.0 * np.abs(d_in_eig[mask]) ** 2 / psum[mask]))
+    return total
 
 
 def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,

@@ -194,7 +194,6 @@ def _rossi_output_state():
 
 def _suite_qfi(tol: float) -> list[CheckResult]:
     results = []
-    drift_tol = 1e-4
 
     # thermal family sigma(g) = (nu0 + g) I
     nu0 = 25.0

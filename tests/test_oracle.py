@@ -4,13 +4,65 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from omfisher.errors import DomainError, NumericalError, UnphysicalStateError
 from omfisher.oracle import (FockState, cfi_numeric, default_n_max, fock_moments,
                              gaussian_to_fock, qfi_fock, qfi_fock_converged)
 
 
+def _squeezed_thermal(nu, r, phi):
+    rot = np.array([[math.cos(phi), -math.sin(phi)],
+                    [math.sin(phi), math.cos(phi)]])
+    return rot @ np.diag([nu * math.exp(2 * r), nu * math.exp(-2 * r)]) @ rot.T
+
+
+def _dense_fock(sigma, n_max):
+    """Reference construction on the full truncated space: expm of the
+    squeeze and rotation generators, then U rho_th U^H."""
+    nu = math.sqrt(np.linalg.det(sigma))
+    evals, evecs = np.linalg.eigh(sigma / nu)
+    r = 0.5 * math.log(evals[1])
+    phi = math.atan2(evecs[1, 1], evecs[0, 1])
+    ns = np.arange(n_max + 1)
+    nbar = nu - 0.5
+    if nbar <= 0.0:
+        diag = (ns == 0).astype(float)
+    else:
+        diag = nbar ** ns / (nbar + 1.0) ** (ns + 1)
+    a = np.diag(np.sqrt(ns[1:].astype(float)), 1)
+    adag = a.T
+    u = expm(1j * phi * (adag @ a)) @ expm(0.5 * r * (adag @ adag - a @ a))
+    return u @ np.diag(diag) @ u.conj().T
+
+
+def _dense_sld_sum(rho_minus, rho_plus, h):
+    """SLD sum over the full matrix, without the parity split."""
+    drho = (rho_plus - rho_minus) / (2.0 * h)
+    pvals, pvecs = np.linalg.eigh(0.5 * (rho_plus + rho_minus))
+    d_in_eig = pvecs.conj().T @ drho @ pvecs
+    psum = pvals[:, None] + pvals[None, :]
+    mask = psum > 1e-12
+    return float(np.sum(2.0 * np.abs(d_in_eig[mask]) ** 2 / psum[mask]))
+
+
+# truncations with both block sizes, including an empty and a one-state
+# odd block; pure (nu = 1/2) and thermal cores
+_FOCK_CASES = [(n_max, nu, r, phi)
+               for n_max in (0, 1, 40, 41)
+               for nu in (0.5, 1.3)
+               for r in (0.0, 0.15, 0.8)
+               for phi in (0.0, 0.7, -2.1)]
+
+
 class TestGaussianToFock:
+    def test_matches_dense_expm_construction(self):
+        for n_max, nu, r, phi in _FOCK_CASES:
+            sigma = _squeezed_thermal(nu, r, phi)
+            st = gaussian_to_fock(sigma, n_max)
+            err = np.max(np.abs(st.rho - _dense_fock(sigma, n_max)))
+            assert err < 1e-13, (n_max, nu, r, phi, err)
+
     def test_vacuum_projector(self):
         st = gaussian_to_fock(0.5 * np.eye(2), 40)
         assert st.trace_deficit < 1e-14
@@ -75,6 +127,38 @@ class TestQfiFock:
         q, _ = qfi_fock_converged(fam, 0.0, h=1e-3)
         formula = qfi_gaussian(fam(0.0), np.eye(2))
         assert abs(formula - q) / q < 1e-3
+
+    def test_blockwise_sum_matches_full_matrix(self):
+        """The parity-block SLD sum equals the full-matrix sum; states the
+        truncation cannot hold still trip the trace-deficit gate."""
+        h = 1e-4
+        compared = 0
+        for n_max, nu, r, phi in _FOCK_CASES:
+            dnu = 0.0 if nu == 0.5 else 0.3
+            fam = lambda g: _squeezed_thermal(nu + dnu * g, r + 0.4 * g,
+                                              phi + 0.5 * g)
+            rm = gaussian_to_fock(fam(-h), n_max)
+            rp = gaussian_to_fock(fam(h), n_max)
+            if max(rm.trace_deficit, rp.trace_deficit) > 1e-10:
+                with pytest.raises(DomainError):
+                    qfi_fock(rm, rp, h)
+                continue
+            full = _dense_sld_sum(rm.rho, rp.rho, h)
+            assert qfi_fock(rm, rp, h) == pytest.approx(full, rel=1e-10, abs=1e-14)
+            compared += full > 0.0
+        assert compared >= 20
+        # one-state odd block carrying part of the derivative
+        two = [FockState(1, np.diag([1.0 - q, q]).astype(complex), 0.0)
+               for q in (0.3 - h, 0.3 + h)]
+        assert qfi_fock(*two, h) == pytest.approx(
+            _dense_sld_sum(two[0].rho, two[1].rho, h), rel=1e-12)
+
+    def test_parity_mixing_rejected(self):
+        coherent = FockState(1, np.full((2, 2), 0.5, dtype=complex), 0.0)
+        vacuum = gaussian_to_fock(0.5 * np.eye(2), 1)
+        for pair in ((coherent, vacuum), (vacuum, coherent)):
+            with pytest.raises(DomainError, match="even and odd"):
+                qfi_fock(*pair, 1e-3)
 
     def test_truncation_mismatch_rejected(self):
         a = gaussian_to_fock(1.2 * np.eye(2), 60)
