@@ -5,7 +5,6 @@
     omfisher steady-state --config FILE
 
 Exit codes: 0 success, 1 numerical/oracle failure, 2 configuration error.
-OMFISHER_THREADS caps the sweep worker count.
 """
 
 from __future__ import annotations

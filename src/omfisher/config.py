@@ -275,6 +275,11 @@ def _parse_switches(cfg: RunConfig, section) -> RunConfig:
         raise ConfigError("cfi_convention must be bhd_limit or printed_ideal")
     if updates.get("vacuum_mode", cfg.vacuum_mode) not in ("identity", "printed_sinc"):
         raise ConfigError("vacuum_mode must be identity or printed_sinc")
+    if updates.get("derivative_method", cfg.derivative_method) not in \
+            ("finite-difference", "derivative-lyapunov"):
+        raise ConfigError("derivative_method must be finite-difference or derivative-lyapunov")
+    if updates.get("branch", cfg.branch) not in (None, "lower", "upper"):
+        raise ConfigError("branch must be lower, upper or empty")
     return replace(cfg, **updates)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "SldCoefficients",
     "FisherReport",
     "ThetaMaxResult",
+    "fd_step",
     "dsigma_dg",
     "sld_coefficients",
     "qfi_gaussian",
@@ -98,25 +99,26 @@ def _sigma_inv(sigma: np.ndarray) -> np.ndarray:
                      [-sigma[1, 0], sigma[0, 0]]]) / det
 
 
+def fd_step(g: float, h: float | None = None) -> float:
+    """Step of ``dsigma_dg`` at coupling g: ``h`` when given, else
+    max(FD_STEP_REL |g|, FD_STEP_FLOOR)."""
+    return h if h is not None else max(FD_STEP_REL * abs(g), FD_STEP_FLOOR)
+
+
 def dsigma_dg(pipeline: Callable[[float], np.ndarray], g: float,
               method: str = "finite-difference", h: float | None = None) -> np.ndarray:
     """Derivative of a matrix-valued pipeline with respect to the coupling.
 
     ``pipeline`` maps g (frequency-convention coupling, rad/s) to a
-    covariance matrix with every other parameter frozen.  The default is
-    central differences with one Richardson level; objects exposing a
-    ``derivative_lyapunov(g)`` attribute (see ``pipeline.OutputPipeline``)
-    provide the implicit-differentiation route.
+    covariance matrix with every other parameter frozen.  Central
+    differences with one Richardson level, step ``fd_step(g, h)``; the
+    implicit derivative-Lyapunov route needs the cavity state and lives
+    in ``pipeline.cavity_dsigma_opt``.
     """
-    if method == "derivative-lyapunov":
-        deriv = getattr(pipeline, "derivative_lyapunov", None)
-        if deriv is None:
-            raise DomainError("pipeline does not expose a derivative_lyapunov route")
-        return deriv(g)
     if method != "finite-difference":
         raise DomainError(f"unknown derivative method {method!r}")
 
-    h0 = h if h is not None else max(FD_STEP_REL * abs(g), FD_STEP_FLOOR)
+    h0 = fd_step(g, h)
     try:
         coarse = (pipeline(g + h0) - pipeline(g - h0)) / (2.0 * h0)
         fine = (pipeline(g + 0.5 * h0) - pipeline(g - 0.5 * h0)) / h0

@@ -2,18 +2,16 @@
 
 A rectangular temporal window of length tau centered at filter frequency
 Omega_k selects one output mode.  Under the stationary-cavity approximation
-the 2x2 output covariance has closed-form entries built from the optical
-block (s_xx, s_xy, s_yy) of the intracavity covariance:
+the cavity term of the 2x2 output covariance is the one linear map
 
-    XX = (1/2) k tau sinc^2(W tau/2) [(s_xx - s_yy) cos(W tau) + s_xx
-          + 2 s_xy sin(W tau) + s_yy] + sinc(2 W tau)
-    XY = (1/2) k tau sinc^2(W tau/2) [(s_yy - s_xx) sin(W tau) + 2 s_xy cos(W tau)]
-    YY = like XX with s_xx <-> s_yy and the sign of the s_xy term flipped
+    (k/tau) G sigma_opt G^T,   G = int_0^tau G(t') dt' = [[c, s], [-s, c]],
+    c = sin(W tau)/W,   s = 2 sin^2(W tau/2)/W,
 
-(W = Omega_k, k = kappa_meas).  Two conventions for the additive vacuum
-term are supported.  The input-output double integral gives the identity
-(G(t) G(t)^T = 1 pointwise for the rotation kernel), which keeps the
-output state physical at all filter frequencies and reproduces the
+of the optical block (W = Omega_k, k = kappa_meas); being linear it also
+maps d sigma_opt/dg to d sigma_out/dg.  Two conventions for the additive
+vacuum term are supported.  The input-output double integral gives the
+identity (G(t) G(t)^T = 1 pointwise for the rotation kernel), which keeps
+the output state physical at all filter frequencies and reproduces the
 reported peak of the QFI at Omega_k = 0; this is the default.  The
 literal closed-form variant sinc(2 W tau) on the diagonal is available as
 vacuum="printed_sinc" (it coincides with the identity at Omega_k = 0 but
@@ -36,6 +34,8 @@ __all__ = [
     "MeasurementSpec",
     "OutputCovariance2",
     "rotation",
+    "cavity_output_map",
+    "output_map",
     "output_covariance",
     "output_covariance_numeric",
     "homodyne_pdf",
@@ -64,11 +64,9 @@ class MeasurementSpec:
 
 @dataclass(frozen=True)
 class OutputCovariance2:
-    """2x2 symmetric covariance of the filtered output quadratures,
-    optionally with its coupling derivative."""
+    """2x2 symmetric covariance of the filtered output quadratures."""
 
     matrix: np.ndarray
-    d_matrix: np.ndarray | None = None
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -77,39 +75,51 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _usinc(x: float) -> float:
-    """Unnormalized sinc, sin(x)/x."""
-    return float(np.sinc(x / math.pi))
+def cavity_output_map(spec: MeasurementSpec) -> np.ndarray:
+    """G = int_0^tau G(t') dt' = [[c, s], [-s, c]] with c = sin(W tau)/W and
+    s = 2 sin^2(W tau/2)/W, the form of (1 - cos W tau)/W that keeps its
+    relative accuracy at small phase."""
+    tau, wk = spec.window, spec.omega_k
+    if wk == 0.0:
+        return np.eye(2) * tau
+    x = wk * tau
+    c = math.sin(x) / wk
+    s = 2.0 * math.sin(0.5 * x) ** 2 / wk
+    return np.array([[c, s], [-s, c]])
+
+
+def output_map(block: np.ndarray, spec: MeasurementSpec,
+               g_int: np.ndarray | None = None) -> np.ndarray:
+    """(kappa_meas/tau) G block G^T: the cavity term of the output
+    covariance for block = sigma_opt, and d sigma_out/dg for
+    block = d sigma_opt/dg.  ``g_int`` passes a G already built for
+    ``spec``."""
+    if g_int is None:
+        g_int = cavity_output_map(spec)
+    return (spec.kappa_meas / spec.window) * g_int @ np.asarray(block, dtype=float) @ g_int.T
 
 
 def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec,
-                      vacuum: str = "identity") -> OutputCovariance2:
-    """Closed-form output covariance from the optical 2x2 block.
+                      vacuum: str = "identity",
+                      g_int: np.ndarray | None = None) -> OutputCovariance2:
+    """Output covariance (kappa_meas/tau) G sigma_opt G^T + vac I.
 
-    At Omega_k = 0 the entries reduce algebraically to
-    kappa tau sigma_opt + I; that branch is evaluated directly so the
-    identity holds exactly.  ``vacuum`` selects the additive term:
-    "identity" (input-output result) or "printed_sinc" (literal closed
-    form, sinc(2 Omega_k tau) on the diagonal).
+    At Omega_k = 0 this is kappa tau sigma_opt + I, evaluated in that form
+    so the identity holds exactly.  ``vacuum`` selects the additive term:
+    "identity" (input-output result, vac = 1) or "printed_sinc" (literal
+    closed form, vac = sinc(2 Omega_k tau)).  ``g_int`` as in
+    ``output_map``.
     """
     if vacuum not in ("identity", "printed_sinc"):
         raise DomainError(f"unknown vacuum convention {vacuum!r}")
     sigma_opt = np.asarray(sigma_opt, dtype=float)
-    kt = spec.kappa_meas * spec.window
-    sxx, sxy, syy = sigma_opt[0, 0], sigma_opt[0, 1], sigma_opt[1, 1]
     phase = spec.omega_k * spec.window
-
     if phase == 0.0:
-        out = kt * sigma_opt + np.eye(2)
-        return OutputCovariance2(matrix=0.5 * (out + out.T))
-
-    s2 = _usinc(phase / 2.0) ** 2
-    cosp, sinp = math.cos(phase), math.sin(phase)
-    vac = _usinc(2.0 * phase) if vacuum == "printed_sinc" else 1.0
-    xx = 0.5 * kt * s2 * ((sxx - syy) * cosp + sxx + 2.0 * sxy * sinp + syy) + vac
-    xy = 0.5 * kt * s2 * ((syy - sxx) * sinp + 2.0 * sxy * cosp)
-    yy = 0.5 * kt * s2 * ((syy - sxx) * cosp + sxx - 2.0 * sxy * sinp + syy) + vac
-    return OutputCovariance2(matrix=np.array([[xx, xy], [xy, yy]]))
+        cav, vac = spec.kappa_meas * spec.window * sigma_opt, 1.0
+    else:
+        cav = output_map(sigma_opt, spec, g_int)
+        vac = math.sin(2.0 * phase) / (2.0 * phase) if vacuum == "printed_sinc" else 1.0
+    return OutputCovariance2(matrix=0.5 * (cav + cav.T) + vac * np.eye(2))
 
 
 def output_covariance_numeric(sigma_opt: np.ndarray, spec: MeasurementSpec,

@@ -4,8 +4,9 @@
 The coupling derivative of the output covariance is taken with respect to
 the frequency-convention coupling g (rad/s).  Because the output filter is
 a fixed linear map of the optical block, differentiation is performed on
-the intracavity optical block and pushed through the map; the map is
-g-independent so this is equivalent to differencing the full pipeline.
+the intracavity optical block and pushed through the same map G that gives
+sigma_out; the map is g-independent so this is equivalent to differencing
+the full pipeline.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .dynamics import (CovarianceMatrix4, DiffusionMatrix, DriftMatrix,
                        lyapunov_solve, stationary_covariance, _E1, _eigen)
 from .errors import DomainError
 from .fisher import FisherReport, cfi_bhd, cfi_ideal, qfi_gaussian, theta_max
-from .output import MeasurementSpec, OutputCovariance2, output_covariance
+from .output import (MeasurementSpec, OutputCovariance2, cavity_output_map,
+                     output_covariance, output_map)
 from .params import SteadyState, SystemParams, steady_state
 
 __all__ = [
@@ -44,7 +46,7 @@ class PipelineSettings:
     """Convention switches and numerical knobs of the pipeline."""
 
     epsilon_uses_total_kappa: bool = False
-    kappa_meas_mode: str = "kappa_in"  # or "kappa_total"
+    kappa_meas_mode: str = "kappa_total"  # or "kappa_in"
     branch: str | None = None
     diffusion_tol: float = 1e-7
     vacuum_mode: str = "identity"  # or "printed_sinc"
@@ -90,42 +92,17 @@ def cavity_covariance(params: SystemParams,
     return CavityState(steady=ss, drift=a, diffusion=d, covariance=cov)
 
 
-def cavity_output_map(spec: MeasurementSpec) -> np.ndarray:
-    """G_int = int_0^tau G(t') dt'; the cavity term of the output covariance
-    is (kappa/tau) G_int sigma_opt G_int^T."""
-    tau, wk = spec.window, spec.omega_k
-    if wk == 0.0:
-        return np.eye(2) * tau
-    c = math.sin(wk * tau) / wk
-    s = (1.0 - math.cos(wk * tau)) / wk
-    return np.array([[c, s], [-s, c]])
-
-
 def output_state(sigma_opt: np.ndarray, spec: MeasurementSpec,
                  vacuum: str = "identity") -> OutputCovariance2:
     return output_covariance(sigma_opt, spec, vacuum=vacuum)
 
 
-def _apply_output_map(dsigma_opt: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
-    g_int = cavity_output_map(spec)
-    return (spec.kappa_meas / spec.window) * g_int @ dsigma_opt @ g_int.T
-
-
-class _CavityOpticalPipeline:
-    """g -> intracavity optical block, all other parameters frozen."""
-
-    def __init__(self, params: SystemParams, settings: PipelineSettings):
-        self.params = params
-        self.settings = settings
-
-    def __call__(self, g: float) -> np.ndarray:
-        # sigma_opt is even in g: g -> -g conjugates the mechanical
-        # quadratures only, leaving the optical block invariant
-        cav = cavity_covariance(self.params.with_(g_freq=abs(g)), self.settings)
-        return cav.covariance.optical_block
-
-    def derivative_lyapunov(self, g: float) -> np.ndarray:
-        return _cavity_derivative_lyapunov(self.params.with_(g_freq=g), self.settings)
+def _sigma_opt(params: SystemParams, settings: PipelineSettings, g: float) -> np.ndarray:
+    """Intracavity optical block at coupling g, all other parameters frozen."""
+    # sigma_opt is even in g: g -> -g conjugates the mechanical
+    # quadratures only, leaving the optical block invariant
+    cav = cavity_covariance(params.with_(g_freq=abs(g)), settings)
+    return cav.covariance.optical_block
 
 
 class OutputPipeline:
@@ -133,24 +110,24 @@ class OutputPipeline:
 
     def __init__(self, params: SystemParams, spec: MeasurementSpec,
                  settings: PipelineSettings = PipelineSettings()):
+        self.params = params
         self.spec = spec
-        self.vacuum = settings.vacuum_mode
-        self._cavity = _CavityOpticalPipeline(params, settings)
+        self.settings = settings
 
     def __call__(self, g: float) -> np.ndarray:
-        return output_state(self._cavity(g), self.spec, vacuum=self.vacuum).matrix
-
-    def derivative_lyapunov(self, g: float) -> np.ndarray:
-        return _apply_output_map(self._cavity.derivative_lyapunov(g), self.spec)
+        return output_covariance(_sigma_opt(self.params, self.settings, g), self.spec,
+                                 vacuum=self.settings.vacuum_mode).matrix
 
 
 def cavity_dsigma_opt(params: SystemParams,
                       settings: PipelineSettings = PipelineSettings()) -> np.ndarray:
-    """d(sigma_opt)/dg at the configured coupling, by the configured method."""
-    pipe = _CavityOpticalPipeline(params, settings)
-    return _fisher.dsigma_dg(pipe, params.g_freq,
-                             method=settings.derivative_method,
-                             h=settings.fd_step)
+    """d(sigma_opt)/dg at the configured coupling: the derivative Lyapunov
+    equation for "derivative-lyapunov", Richardson central differences
+    (``fisher.dsigma_dg``) otherwise."""
+    if settings.derivative_method == "derivative-lyapunov":
+        return _cavity_derivative_lyapunov(params, settings)
+    return _fisher.dsigma_dg(lambda g: _sigma_opt(params, settings, g), params.g_freq,
+                             method=settings.derivative_method, h=settings.fd_step)
 
 
 def _steady_derivatives(params: SystemParams, ss: SteadyState):
@@ -224,9 +201,10 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
     if dsigma_opt is None:
         dsigma_opt = cavity_dsigma_opt(params, settings)
 
-    sigma_out = output_state(cavity.covariance.optical_block, spec,
-                             vacuum=settings.vacuum_mode).matrix
-    dsigma_out = _apply_output_map(dsigma_opt, spec)
+    g_int = cavity_output_map(spec)
+    sigma_out = output_covariance(cavity.covariance.optical_block, spec,
+                                  vacuum=settings.vacuum_mode, g_int=g_int).matrix
+    dsigma_out = output_map(dsigma_opt, spec, g_int)
 
     tm = theta_max(sigma_out, dsigma_out, eta=spec.eta)
     theta = tm.theta if auto_theta else spec.theta
@@ -235,16 +213,16 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
     cfi_printed = cfi_ideal(sigma_out, dsigma_out, theta)
     saturation = 0.5 * tm.lambda_max ** 2 / qfi if qfi > 0 else float("nan")
 
-    h_used = settings.fd_step
-    if h_used is None:
-        h_used = max(_fisher.FD_STEP_REL * abs(params.g_freq), _fisher.FD_STEP_FLOOR)
+    fd_step = None
+    if settings.derivative_method == "finite-difference":
+        fd_step = _fisher.fd_step(params.g_freq, settings.fd_step)
     return FisherReport(
         qfi=qfi, cfi=cfi, cfi_printed_ideal=cfi_printed,
         theta=theta, eta=spec.eta,
         theta_max=tm.theta, lambda_max=tm.lambda_max,
         saturation_ratio=saturation,
         derivative_method=settings.derivative_method,
-        tolerances={"diffusion_tol": settings.diffusion_tol, "fd_step": h_used},
+        tolerances={"diffusion_tol": settings.diffusion_tol, "fd_step": fd_step},
         diagnostics={
             "lyapunov_residual": cavity.covariance.residual,
             "diffusion_error": cavity.diffusion.error_estimate,

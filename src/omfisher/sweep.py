@@ -1,18 +1,15 @@
-"""Parameter sweeps: worker pool over pure pipeline calls, deterministic
-tabular output (17-significant-digit CSV or JSON).
+"""Parameter sweeps: pipeline calls over the grid in order on the calling
+thread, deterministic tabular output (17-significant-digit CSV or JSON).
 
 Unstable or branch-ambiguous points are emitted with stable=false and empty
-Fisher fields; nothing is silently dropped.  Rows appear in grid order
-regardless of worker completion order, so repeated runs of one config are
-byte-identical.
+Fisher fields; nothing is silently dropped.  Rows appear in grid order, so
+repeated runs of one config are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__ as _version
@@ -49,18 +46,6 @@ class SweepPointError(OmfisherError, RuntimeError):
         self.variable = variable
         self.value = value
         self.cause = cause
-
-
-def _worker_count(n_points: int) -> int:
-    env = os.environ.get("OMFISHER_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"OMFISHER_THREADS must be an integer, got {env!r}") from exc
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_points))
 
 
 def _row_from_report(value: float, rep: FisherReport, cfi_convention: str) -> SweepRow:
@@ -120,12 +105,7 @@ def run_sweep(cfg: RunConfig):
         except OmfisherError as exc:
             raise SweepPointError(variable, value, exc) from exc
 
-    workers = _worker_count(len(grid))
-    if workers == 1:
-        rows = [evaluate(v) for v in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, grid))
+    rows = [evaluate(v) for v in grid]
 
     metadata = {
         "generator": f"omfisher {_version}",

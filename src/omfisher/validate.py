@@ -25,17 +25,16 @@ from .dynamics import (brownian_diffusion_freq, diffusion_matrix, drift_matrix,
                        stationary_covariance, transient_covariance)
 from .oracle import cfi_numeric, qfi_fock_converged
 from .output import MeasurementSpec, homodyne_variance, output_covariance, \
-    output_covariance_numeric
+    output_covariance_numeric, output_map
 from .params import rossi_params, steady_state
 from .pipeline import (OutputPipeline, PipelineSettings, build_measurement,
-                       cavity_covariance, cavity_dsigma_opt, output_state,
-                       _apply_output_map)
+                       cavity_covariance, cavity_dsigma_opt, output_state)
 
 __all__ = ["CheckResult", "validate", "SUITES"]
 
 SUITES = ("kernels", "lyapunov", "transient", "output", "qfi", "cfi")
 
-_SETTINGS = PipelineSettings(kappa_meas_mode="kappa_total")
+_SETTINGS = PipelineSettings()
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def _rossi_output_state():
     dso = cavity_dsigma_opt(p, _SETTINGS)
     spec = build_measurement(p, omega_k=0.0, settings=_SETTINGS)
     sig = output_state(cav.covariance.optical_block, spec).matrix
-    dsig = _apply_output_map(dso, spec)
+    dsig = output_map(dso, spec)
     return p, spec, sig, dsig
 
 

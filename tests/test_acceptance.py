@@ -16,6 +16,7 @@ purpose; its docstring carries the analysis:
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,17 +24,18 @@ import pytest
 from omfisher.config import RunConfig, SweepSpec, apply_preset, load_config
 from omfisher.constants import TWO_PI
 from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
+from omfisher.output import output_map
 from omfisher.params import (bistability_window, drive_amplitude, rossi_params,
                              steady_state)
 from omfisher.pipeline import (PipelineSettings, build_measurement,
                                cavity_covariance, cavity_dsigma_opt,
-                               output_state, _apply_output_map)
+                               output_state)
 from omfisher.sweep import run_sweep
 from omfisher.validate import (_suite_cfi, _suite_kernels, _suite_lyapunov,
                                _suite_output, _suite_qfi, _suite_transient)
 
 K0 = TWO_PI * 18.5e6
-SETTINGS = PipelineSettings(kappa_meas_mode="kappa_total")
+SETTINGS = PipelineSettings()
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -46,7 +48,7 @@ def fisher_point(params, omega_k=0.0, settings=SETTINGS):
     spec = build_measurement(params, omega_k=omega_k, settings=settings)
     sigma = output_state(cav.covariance.optical_block, spec,
                          vacuum=settings.vacuum_mode).matrix
-    dsigma = _apply_output_map(dso, spec)
+    dsigma = output_map(dso, spec)
     return sigma, dsigma
 
 
@@ -301,7 +303,7 @@ def test_criterion_14_determinism(tmp_path):
     out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
     assert main(["sweep", "--config", str(cfg_file), "--out", out1]) == 0
     assert main(["sweep", "--config", str(cfg_file), "--out", out2]) == 0
-    identical = open(out1, "rb").read() == open(out2, "rb").read()
+    identical = Path(out1).read_bytes() == Path(out2).read_bytes()
     report(14, identical, "repeated sweep runs byte-identical: "
                           f"{identical} ({os.path.getsize(out1)} bytes)")
     assert identical

@@ -2,7 +2,8 @@
 
 import json
 import math
-import os
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from omfisher.cli import main
 from omfisher.config import PRESETS, RunConfig, SweepSpec, apply_preset, load_config
 from omfisher.constants import TWO_PI
 from omfisher.errors import ConfigError
+from omfisher.pipeline import PipelineSettings
 from omfisher.sweep import ROW_FIELDS, render_csv, run_sweep
 from omfisher.validate import validate
 
@@ -94,6 +96,9 @@ class TestConfig:
             replace(RunConfig(), temperature=-1.0).materialize()
         with pytest.raises(TypeError):
             replace(RunConfig(), temperature="11").materialize()
+
+    def test_pipeline_settings_default_to_run_config(self):
+        assert asdict(PipelineSettings()) == asdict(RunConfig().settings())
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -197,29 +202,13 @@ class TestCli:
         out2 = str(tmp_path / "b.csv")
         assert main(["sweep", "--config", config_file, "--out", out1]) == 0
         assert main(["sweep", "--config", config_file, "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-
-    def test_thread_cap_does_not_change_output(self, config_file, tmp_path):
-        out1 = str(tmp_path / "a.csv")
-        out2 = str(tmp_path / "b.csv")
-        old = os.environ.get("OMFISHER_THREADS")
-        try:
-            os.environ["OMFISHER_THREADS"] = "1"
-            main(["sweep", "--config", config_file, "--out", out1])
-            os.environ["OMFISHER_THREADS"] = "4"
-            main(["sweep", "--config", config_file, "--out", out2])
-        finally:
-            if old is None:
-                os.environ.pop("OMFISHER_THREADS", None)
-            else:
-                os.environ["OMFISHER_THREADS"] = old
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_json_format(self, config_file, tmp_path):
         out = str(tmp_path / "rows.json")
         assert main(["sweep", "--config", config_file, "--out", out,
                      "--format", "json"]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert set(payload) == {"metadata", "rows"}
         assert len(payload["rows"]) == 5
         assert set(payload["rows"][0]) == set(ROW_FIELDS)
@@ -229,6 +218,16 @@ class TestCli:
         bad.write_text("[system]\nmass_kg = -1\n")
         cfgf = str(bad)
         assert main(["sweep", "--config", cfgf, "--preset", "fig1"]) == 2
+
+    @pytest.mark.parametrize("line", ["derivative_method = spectral",
+                                      "branch = sideways"])
+    def test_unknown_switch_value_exit_code(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[switches]\n{line}\n")
+        out = str(tmp_path / "rows.csv")
+        assert main(["sweep", "--config", str(bad), "--preset", "fig4d",
+                     "--out", out]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_steady_state_command(self, config_file, capsys):
         assert main(["steady-state", "--config", config_file]) == 0

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from omfisher import pipeline
 from omfisher.errors import DomainError
-from omfisher.output import (MeasurementSpec, homodyne_pdf, homodyne_variance,
-                             output_covariance, output_covariance_numeric,
-                             rotation)
+from omfisher.fisher import qfi_gaussian
+from omfisher.output import (MeasurementSpec, cavity_output_map, homodyne_pdf,
+                             homodyne_variance, output_covariance,
+                             output_covariance_numeric, output_map, rotation)
+from omfisher.params import rossi_params
 
 
 def spec_at(omega_k=0.0, window=1.0, kappa=1.0, eta=1.0, theta=0.0):
@@ -111,6 +114,42 @@ class TestOutputCovariance:
     def test_window_validation(self):
         with pytest.raises(DomainError):
             spec_at(window=-1.0)
+
+
+def _taylor_map(x: float, tau: float) -> np.ndarray:
+    """G at phase x = Omega_k tau to O(x^3): tau [[1 - x^2/6, x/2], [-x/2, 1 - x^2/6]]."""
+    return tau * np.array([[1.0 - x * x / 6.0, x / 2.0], [-x / 2.0, 1.0 - x * x / 6.0]])
+
+
+class TestSmallPhase:
+    """At |Omega_k tau| = 1e-8, 1 - cos(Omega_k tau) rounds to 0; the map
+    must keep the x/2 off-diagonal to round-off."""
+
+    @pytest.mark.parametrize("x", [1e-8, -1e-8, 3e-9])
+    def test_cavity_output_map_matches_taylor(self, x):
+        tau = 0.37
+        g_int = cavity_output_map(spec_at(omega_k=x / tau, window=tau))
+        ref = _taylor_map(x, tau)
+        assert np.max(np.abs(g_int - ref) / np.abs(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("x", [1e-8, -1e-8])
+    def test_report_dsigma_out_matches_taylor(self, x, monkeypatch):
+        p = rossi_params()
+        settings = pipeline.PipelineSettings()
+        spec = pipeline.build_measurement(p, omega_k=x * p.kappa, settings=settings)
+        d_opt = pipeline.cavity_dsigma_opt(p, settings)
+        seen = []
+
+        def spy(sigma, dsigma):
+            seen.append(dsigma)
+            return qfi_gaussian(sigma, dsigma)
+
+        monkeypatch.setattr(pipeline, "qfi_gaussian", spy)
+        pipeline.fisher_report(p, spec, settings, dsigma_opt=d_opt)
+        g_ref = _taylor_map(spec.omega_k * spec.window, spec.window)
+        ref = (spec.kappa_meas / spec.window) * g_ref @ d_opt @ g_ref.T
+        assert np.linalg.norm(seen[0] - ref) / np.linalg.norm(ref) <= 1e-12
+        assert np.array_equal(seen[0], output_map(d_opt, spec))
 
 
 class TestHomodynePdf:
