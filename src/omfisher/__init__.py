@@ -2,7 +2,7 @@
 quantum/classical Fisher information of coupling-strength estimation."""
 
 from .params import (SystemParams, SteadyState, BistabilityWindow, rossi_params,
-                     coupling_to_si, steady_state, bistability_window, is_stable)
+                     coupling_to_si, steady_state, bistability_window)
 from .kernels import (BathSpec, KernelValue, spectral_density, trigamma,
                       kernel_dr, kernel_di, kernel_dr_numeric, kernel_di_numeric)
 from .dynamics import (DriftMatrix, DiffusionMatrix, CovarianceMatrix4,
@@ -12,6 +12,6 @@ from .output import (MeasurementSpec, OutputCovariance2, output_covariance,
                      output_covariance_numeric, homodyne_pdf)
 from .fisher import (SldCoefficients, FisherReport, dsigma_dg, qfi_gaussian,
                      cfi_bhd, cfi_ideal, theta_max)
-from .pipeline import PipelineSettings, cavity_covariance, output_state, fisher_report
+from .pipeline import PipelineSettings, cavity_covariance, fisher_report
 
 __version__ = "0.1.0"

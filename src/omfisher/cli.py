@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .config import PRESETS, apply_preset, load_config
+from .dynamics import drift_matrix
 from .errors import ConfigError, OmfisherError
 from .params import bistability_window, steady_state
 from .sweep import run_sweep, write_rows
@@ -81,17 +82,18 @@ def _cmd_validate(args) -> int:
 def _cmd_steady_state(args) -> int:
     cfg = load_config(args.config)
     params, meas = cfg.materialize()
-    ss = steady_state(params, branch=cfg.branch,
-                      epsilon_uses_total_kappa=cfg.epsilon_uses_total_kappa)
+    settings = cfg.settings()
+    ss = steady_state(params, branch=settings.branch,
+                      epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
     win = bistability_window(params,
-                             epsilon_uses_total_kappa=cfg.epsilon_uses_total_kappa)
+                             epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
     print(f"photon number |alpha|^2   = {ss.alpha_abs2:.10e}")
     print(f"amplitude alpha           = {ss.alpha:.10e}")
     print(f"effective detuning [rad/s]= {ss.delta_eff:.10e}")
     print(f"mirror shift q0 [m]       = {ss.q0:.10e}")
     print(f"drive amplitude [rad/s]   = {ss.epsilon:.10e}")
     print(f"branch count              = {ss.branch_count}")
-    print(f"stable (Hurwitz)          = {ss.stable}")
+    print(f"stable (Hurwitz)          = {drift_matrix(params, ss).stable}")
     print(f"stationarity residual     = {ss.residual:.3e}")
     if win.monostable_for_all_power:
         print("bistability               = monostable for all powers")

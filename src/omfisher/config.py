@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .constants import C_LIGHT, TWO_PI
 from .errors import ConfigError, DomainError
@@ -75,28 +75,14 @@ class RunConfig:
     sweep: SweepSpec | None = None
     preset: str | None = None
 
-    epsilon_uses_total_kappa: bool = False
-    kappa_meas_mode: str = "kappa_total"
+    pipeline: PipelineSettings = field(default_factory=PipelineSettings)
     cfi_convention: str = "bhd_limit"      # or printed_ideal
-    vacuum_mode: str = "identity"
-    derivative_method: str = "finite-difference"
-    branch: str | None = None
-    diffusion_tol: float = 1e-7
-    fd_step: float | None = None
 
     out_path: str = "sweep.csv"
     out_format: str = "csv"
 
     def settings(self) -> PipelineSettings:
-        return PipelineSettings(
-            epsilon_uses_total_kappa=self.epsilon_uses_total_kappa,
-            kappa_meas_mode=self.kappa_meas_mode,
-            branch=self.branch,
-            diffusion_tol=self.diffusion_tol,
-            vacuum_mode=self.vacuum_mode,
-            derivative_method=self.derivative_method,
-            fd_step=self.fd_step,
-        )
+        return self.pipeline
 
     def base_kappa(self) -> float:
         return self.kappa_in + self.kappa_loss
@@ -174,6 +160,17 @@ _FREQ_KEYS = {
 }
 
 
+def _read(section, key: str, get: str = "getfloat"):
+    """``section.<get>(key)``; a missing key or a malformed value is a
+    ConfigError naming the section and the key."""
+    if key not in section:
+        raise ConfigError(f"[{section.name}] {key} is required")
+    try:
+        return getattr(section, get)(key)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
+
+
 def _parse_system(cfg: RunConfig, section) -> RunConfig:
     updates = {}
     known = set()
@@ -182,13 +179,13 @@ def _parse_system(cfg: RunConfig, section) -> RunConfig:
             continue
         known.update({key, key + "_over_2pi_hz"})
         if key in section:
-            updates[attr] = section.getfloat(key)
+            updates[attr] = _read(section, key)
         if key + "_over_2pi_hz" in section:
-            updates[attr] = TWO_PI * section.getfloat(key + "_over_2pi_hz")
+            updates[attr] = TWO_PI * _read(section, key + "_over_2pi_hz")
     if "kappa" in section or "kappa_over_2pi_hz" in section:
         known.update({"kappa", "kappa_over_2pi_hz"})
-        total = section.getfloat("kappa") if "kappa" in section else \
-            TWO_PI * section.getfloat("kappa_over_2pi_hz")
+        total = _read(section, "kappa") if "kappa" in section else \
+            TWO_PI * _read(section, "kappa_over_2pi_hz")
         updates.setdefault("kappa_in", total / 2.0)
         updates.setdefault("kappa_loss", total / 2.0)
     scalars = {"mass_kg": "mass", "temperature_k": "temperature",
@@ -197,10 +194,10 @@ def _parse_system(cfg: RunConfig, section) -> RunConfig:
     for key, attr in scalars.items():
         known.add(key)
         if key in section:
-            updates[attr] = section.getfloat(key)
+            updates[attr] = _read(section, key)
     if "laser_wavelength_m" in section:
         known.add("laser_wavelength_m")
-        updates["omega_laser"] = TWO_PI * C_LIGHT / section.getfloat("laser_wavelength_m")
+        updates["omega_laser"] = TWO_PI * C_LIGHT / _read(section, "laser_wavelength_m")
     if "delta0" in updates or "delta0_over_2pi_hz" in section:
         updates.setdefault("delta0_in_kappa", None)
         if updates.get("delta0") is not None:
@@ -218,18 +215,22 @@ def _parse_measurement(cfg: RunConfig, section) -> RunConfig:
     known = {"omega_k", "omega_k_over_2pi_hz", "omega_k_in_kappa",
              "window_s", "eta", "theta"}
     if "omega_k" in section:
-        updates["omega_k"] = section.getfloat("omega_k")
+        updates["omega_k"] = _read(section, "omega_k")
     if "omega_k_over_2pi_hz" in section:
-        updates["omega_k"] = TWO_PI * section.getfloat("omega_k_over_2pi_hz")
+        updates["omega_k"] = TWO_PI * _read(section, "omega_k_over_2pi_hz")
     if "omega_k_in_kappa" in section:
-        updates["omega_k"] = section.getfloat("omega_k_in_kappa") * cfg.base_kappa()
+        updates["omega_k"] = _read(section, "omega_k_in_kappa") * cfg.base_kappa()
     if "window_s" in section:
-        updates["window"] = section.getfloat("window_s")
+        updates["window"] = _read(section, "window_s")
+        if not updates["window"] > 0.0:
+            raise ConfigError(f"[measurement] window_s = {updates['window']!r} must be > 0")
     if "eta" in section:
-        updates["eta"] = section.getfloat("eta")
+        updates["eta"] = _read(section, "eta")
+        if not 0.0 < updates["eta"] <= 1.0:
+            raise ConfigError(f"[measurement] eta = {updates['eta']!r} must lie in (0, 1]")
     if "theta" in section:
-        raw = section.get("theta").strip()
-        updates["theta"] = "auto" if raw == "auto" else float(raw)
+        auto = section.get("theta").strip() == "auto"
+        updates["theta"] = "auto" if auto else _read(section, "theta")
     unknown = set(section.keys()) - known
     if unknown:
         raise ConfigError(f"unknown [measurement] keys: {sorted(unknown)}")
@@ -246,54 +247,52 @@ def _parse_sweep(cfg: RunConfig, section) -> RunConfig:
         raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}")
     spec = SweepSpec(variable=variable,
                      scale=section.get("scale", "linear"),
-                     start=section.getfloat("start"),
-                     stop=section.getfloat("stop"),
-                     points=section.getint("points"))
+                     start=_read(section, "start"),
+                     stop=_read(section, "stop"),
+                     points=_read(section, "points", "getint"))
     spec.grid()  # validate now
     return replace(cfg, sweep=spec)
 
 
+_SWITCH_CHOICES = {
+    "kappa_meas_mode": ("kappa_in", "kappa_total"),
+    "cfi_convention": ("bhd_limit", "printed_ideal"),
+    "vacuum_mode": ("identity", "printed_sinc"),
+    "derivative_method": ("finite-difference", "derivative-lyapunov"),
+    "branch": ("lower", "upper", ""),  # empty: no branch policy
+}
+
+
 def _parse_switches(cfg: RunConfig, section) -> RunConfig:
-    updates = {}
-    known = {"epsilon_uses_total_kappa", "kappa_meas_mode", "cfi_convention",
-             "vacuum_mode", "derivative_method", "branch"}
-    if "epsilon_uses_total_kappa" in section:
-        updates["epsilon_uses_total_kappa"] = section.getboolean("epsilon_uses_total_kappa")
-    for key in ("kappa_meas_mode", "cfi_convention", "vacuum_mode",
-                "derivative_method"):
-        if key in section:
-            updates[key] = section.get(key).strip()
-    if "branch" in section:
-        raw = section.get("branch").strip()
-        updates["branch"] = raw or None
-    unknown = set(section.keys()) - known
+    unknown = set(section.keys()) - set(_SWITCH_CHOICES) - {"epsilon_uses_total_kappa"}
     if unknown:
         raise ConfigError(f"unknown [switches] keys: {sorted(unknown)}")
-    if updates.get("kappa_meas_mode", cfg.kappa_meas_mode) not in ("kappa_in", "kappa_total"):
-        raise ConfigError("kappa_meas_mode must be kappa_in or kappa_total")
-    if updates.get("cfi_convention", cfg.cfi_convention) not in ("bhd_limit", "printed_ideal"):
-        raise ConfigError("cfi_convention must be bhd_limit or printed_ideal")
-    if updates.get("vacuum_mode", cfg.vacuum_mode) not in ("identity", "printed_sinc"):
-        raise ConfigError("vacuum_mode must be identity or printed_sinc")
-    if updates.get("derivative_method", cfg.derivative_method) not in \
-            ("finite-difference", "derivative-lyapunov"):
-        raise ConfigError("derivative_method must be finite-difference or derivative-lyapunov")
-    if updates.get("branch", cfg.branch) not in (None, "lower", "upper"):
-        raise ConfigError("branch must be lower, upper or empty")
-    return replace(cfg, **updates)
+    updates = {}
+    for key, choices in _SWITCH_CHOICES.items():
+        if key in section:
+            updates[key] = section.get(key).strip()
+            if updates[key] not in choices:
+                raise ConfigError(f"[switches] {key} = {updates[key]!r} must be one "
+                                  f"of {choices}")
+    if "branch" in updates:
+        updates["branch"] = updates["branch"] or None
+    if "epsilon_uses_total_kappa" in section:
+        updates["epsilon_uses_total_kappa"] = _read(section, "epsilon_uses_total_kappa",
+                                                    "getboolean")
+    cfi_convention = updates.pop("cfi_convention", cfg.cfi_convention)
+    return replace(cfg, pipeline=replace(cfg.pipeline, **updates),
+                   cfi_convention=cfi_convention)
 
 
 def _parse_tolerances(cfg: RunConfig, section) -> RunConfig:
     updates = {}
     known = {"diffusion_tol", "fd_step"}
-    if "diffusion_tol" in section:
-        updates["diffusion_tol"] = section.getfloat("diffusion_tol")
-    if "fd_step" in section:
-        updates["fd_step"] = section.getfloat("fd_step")
+    for key in known & set(section.keys()):
+        updates[key] = _read(section, key)
     unknown = set(section.keys()) - known
     if unknown:
         raise ConfigError(f"unknown [tolerances] keys: {sorted(unknown)}")
-    return replace(cfg, **updates)
+    return replace(cfg, pipeline=replace(cfg.pipeline, **updates))
 
 
 def _parse_output(cfg: RunConfig, section) -> RunConfig:

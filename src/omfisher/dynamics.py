@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -37,7 +38,7 @@ from .constants import HBAR, KB
 from .errors import (DegenerateLyapunovError, DomainError, NumericalError,
                      QuadratureError, UnstableDriftError)
 from .kernels import BathSpec, dr_closed_array
-from .params import SteadyState, SystemParams, is_stable
+from .params import SteadyState, SystemParams
 
 __all__ = [
     "DriftMatrix",
@@ -64,11 +65,27 @@ _G_ASYM = np.array([(-1.0) ** m * math.factorial(2 * m + 1) for m in range(18)])
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Drift matrix over (dq, dp, dX, dY); SI and scaled forms."""
+    """Drift matrix over (dq, dp, dX, dY); SI and scaled forms, and the
+    spectrum of the scaled form, decomposed once on first use."""
 
     matrix: np.ndarray         # SI units
     matrix_scaled: np.ndarray  # zero-point mechanical units
     scale: np.ndarray          # diag vector s: M_SI = S M_scaled S for cov/diffusion
+
+    @cached_property
+    def spectrum(self):
+        """(lambda, V, c = V^-1 e1, cond V) of the scaled drift matrix."""
+        try:
+            lam, vec = np.linalg.eig(self.matrix_scaled)
+            c = np.linalg.solve(vec, _E1.astype(complex))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("eigenvalue solver failed on drift matrix") from exc
+        return lam, vec, c, np.linalg.cond(vec)
+
+    @property
+    def stable(self) -> bool:
+        """True iff every eigenvalue has Re < 0 (Hurwitz)."""
+        return bool(np.all(self.spectrum[0].real < 0.0))
 
 
 @dataclass(frozen=True)
@@ -162,13 +179,6 @@ def _tau_grid(params: SystemParams, n_periods: int, nodes: int):
     return taus, wts, t_end
 
 
-def _eigen(a_scaled: np.ndarray):
-    lam, vec = np.linalg.eig(a_scaled)
-    cond = np.linalg.cond(vec)
-    c = np.linalg.solve(vec, _E1.astype(complex))
-    return lam, vec, c, cond
-
-
 def _aux_fg(z):
     """Auxiliary functions f(z), g(z) of DLMF 6.2(ii), Re z > 0; above
     |z| = 40, where the exponentials of the E1 form overflow, their
@@ -254,10 +264,10 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix,
     bound of brownian_laplace, or by quad_vec's estimate when cond(V) >= 1e10
     hands u to the frequency-domain integral.
     """
-    if not is_stable(a.matrix_scaled):
+    if not a.stable:
         raise UnstableDriftError("diffusion matrix requires a Hurwitz drift matrix")
 
-    lam, vec, c, cond = _eigen(a.matrix_scaled)
+    lam, vec, c, cond = a.spectrum
     if cond < 1e10:
         lap, _, bound = brownian_laplace(params, lam, tol)
         u = np.real(vec @ (c * lap))
@@ -347,7 +357,7 @@ def lyapunov_solve(a: np.ndarray, d: np.ndarray):
 
 def stationary_covariance(a: DriftMatrix, d: DiffusionMatrix) -> CovarianceMatrix4:
     """Stationary covariance from the Lyapunov equation (scaled solve)."""
-    if not is_stable(a.matrix_scaled):
+    if not a.stable:
         raise UnstableDriftError("stationary covariance requires a Hurwitz drift matrix")
     sigma_scaled, res = lyapunov_solve(a.matrix_scaled, d.matrix_scaled)
     sigma_si = sigma_scaled * np.outer(a.scale, a.scale)
@@ -378,9 +388,9 @@ def transient_covariance(params: SystemParams, a: DriftMatrix,
     remaining relaxation uses exact discrete steps sigma -> E sigma E^T + Q
     with the converged D.  Never touches the Kronecker solve.
     """
-    if not is_stable(a.matrix_scaled):
+    if not a.stable:
         raise UnstableDriftError("transient integration requires a stable drift")
-    lam, vec, c, cond = _eigen(a.matrix_scaled)
+    lam, vec, c, cond = a.spectrum
     if cond > 1e10:
         raise NumericalError("drift eigenbasis too ill-conditioned for the "
                              "transient oracle", details={"cond": cond})

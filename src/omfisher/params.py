@@ -32,7 +32,6 @@ __all__ = [
     "drive_amplitude",
     "steady_state",
     "bistability_window",
-    "is_stable",
 ]
 
 
@@ -101,7 +100,6 @@ class SteadyState:
     q0: float              # mirror shift [m]
     epsilon: float         # drive amplitude |eps| [rad/s]
     branch_count: int      # distinct positive real roots of the cubic
-    stable: bool           # Hurwitz flag of the linearized drift matrix
     residual: float = 0.0  # relative residual of the stationary condition
 
 
@@ -254,13 +252,8 @@ def steady_state(params: SystemParams, branch: str | None = None,
     else:
         residual = 0.0
 
-    ss = SteadyState(alpha_abs2=a_sel, alpha=alpha, delta_eff=delta_eff, q0=q0,
-                     epsilon=eps, branch_count=branch_count, stable=True,
-                     residual=residual)
-    from .dynamics import drift_matrix  # deferred: dynamics imports params
-
-    a = drift_matrix(params, ss)
-    return replace(ss, stable=is_stable(a.matrix_scaled))
+    return SteadyState(alpha_abs2=a_sel, alpha=alpha, delta_eff=delta_eff, q0=q0,
+                       epsilon=eps, branch_count=branch_count, residual=residual)
 
 
 def bistability_window(params: SystemParams,
@@ -293,13 +286,3 @@ def bistability_window(params: SystemParams,
     if p_plus <= 0.0:
         return BistabilityWindow(None, None, True)
     return BistabilityWindow(p_minus, p_plus, False)
-
-
-def is_stable(a: np.ndarray) -> bool:
-    """True iff every eigenvalue of the drift matrix has Re < 0."""
-    a = np.asarray(a, dtype=float)
-    try:
-        eig = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigenvalue solver failed on drift matrix") from exc
-    return bool(np.all(eig.real < 0.0))

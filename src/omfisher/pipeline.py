@@ -19,11 +19,10 @@ import numpy as np
 from . import fisher as _fisher
 from .dynamics import (CovarianceMatrix4, DiffusionMatrix, DriftMatrix,
                        brownian_laplace, diffusion_matrix, drift_matrix,
-                       lyapunov_solve, stationary_covariance, _E1, _eigen)
-from .errors import DomainError
+                       lyapunov_solve, stationary_covariance, _E1)
+from .errors import DomainError, UnstableDriftError
 from .fisher import FisherReport, cfi_bhd, cfi_ideal, qfi_gaussian, theta_max
-from .output import (MeasurementSpec, OutputCovariance2, cavity_output_map,
-                     output_covariance, output_map)
+from .output import MeasurementSpec, cavity_output_map, output_covariance, output_map
 from .params import SteadyState, SystemParams, steady_state
 
 __all__ = [
@@ -92,9 +91,8 @@ def cavity_covariance(params: SystemParams,
     return CavityState(steady=ss, drift=a, diffusion=d, covariance=cov)
 
 
-def output_state(sigma_opt: np.ndarray, spec: MeasurementSpec,
-                 vacuum: str = "identity") -> OutputCovariance2:
-    return output_covariance(sigma_opt, spec, vacuum=vacuum)
+# perfbench/checks.py imports the output map under this name (ROADMAP item 1)
+output_state = output_covariance
 
 
 def _sigma_opt(params: SystemParams, settings: PipelineSettings, g: float) -> np.ndarray:
@@ -120,12 +118,16 @@ class OutputPipeline:
 
 
 def cavity_dsigma_opt(params: SystemParams,
-                      settings: PipelineSettings = PipelineSettings()) -> np.ndarray:
+                      settings: PipelineSettings = PipelineSettings(),
+                      cavity: CavityState | None = None) -> np.ndarray:
     """d(sigma_opt)/dg at the configured coupling: the derivative Lyapunov
     equation for "derivative-lyapunov", Richardson central differences
-    (``fisher.dsigma_dg``) otherwise."""
+    (``fisher.dsigma_dg``) otherwise.  ``cavity``, the state at ``params``
+    when the caller already has it, spares the implicit route a re-solve;
+    the differences always solve their own points."""
     if settings.derivative_method == "derivative-lyapunov":
-        return _cavity_derivative_lyapunov(params, settings)
+        return _cavity_derivative_lyapunov(
+            params, settings, cavity or cavity_covariance(params, settings))
     return _fisher.dsigma_dg(lambda g: _sigma_opt(params, settings, g), params.g_freq,
                              method=settings.derivative_method, h=settings.fd_step)
 
@@ -148,8 +150,8 @@ def _steady_derivatives(params: SystemParams, ss: SteadyState):
     return da_n, dalpha, ddelta
 
 
-def _cavity_derivative_lyapunov(params: SystemParams,
-                                settings: PipelineSettings) -> np.ndarray:
+def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings,
+                                cav: CavityState) -> np.ndarray:
     """d(sigma_opt)/dg via the derivative Lyapunov equation
 
         A s' + s' A^T = -(A' s + s A'^T + D'),
@@ -157,8 +159,9 @@ def _cavity_derivative_lyapunov(params: SystemParams,
     with A' from implicit differentiation of the steady state and D' from
     the Frechet derivative of exp(A tau) inside the Brownian integral.
     """
-    cav = cavity_covariance(params, settings)
     ss, a, sigma_s = cav.steady, cav.drift, cav.covariance.matrix_scaled
+    if not a.stable:
+        raise UnstableDriftError("derivative Lyapunov solve requires a Hurwitz drift")
 
     g = params.g_freq
     _, dalpha, ddelta = _steady_derivatives(params, ss)
@@ -170,7 +173,7 @@ def _cavity_derivative_lyapunov(params: SystemParams,
 
     # Frechet derivative of exp(A tau) contracted with the kernel,
     # d/dg int k(tau) e^(A tau) e1 dtau: divided differences of L(lambda)
-    lam, vec, c_vec, _ = _eigen(a.matrix_scaled)
+    lam, vec, c_vec, _ = a.spectrum
     lap, dlap, _ = brownian_laplace(params, lam, settings.diffusion_tol)
     b_mat = np.linalg.solve(vec, da.astype(complex) @ vec)
     dl = lam[None, :] - lam[:, None]
@@ -199,7 +202,7 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
     if cavity is None:
         cavity = cavity_covariance(params, settings)
     if dsigma_opt is None:
-        dsigma_opt = cavity_dsigma_opt(params, settings)
+        dsigma_opt = cavity_dsigma_opt(params, settings, cavity)
 
     g_int = cavity_output_map(spec)
     sigma_out = output_covariance(cavity.covariance.optical_block, spec,
@@ -228,7 +231,6 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
             "diffusion_error": cavity.diffusion.error_estimate,
             "diffusion_path": cavity.diffusion.path,
             "branch_count": cavity.steady.branch_count,
-            "stable": cavity.steady.stable,
             "theta_max_degenerate": bool(tm.degenerate),
         },
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import __version__ as _version
 from .config import RunConfig
+from .dynamics import drift_matrix
 from .errors import (AmbiguousBranchError, ConfigError, OmfisherError,
                      UnstableDriftError)
 from .fisher import FisherReport
@@ -63,17 +64,17 @@ def run_sweep(cfg: RunConfig):
     settings = cfg.settings()
 
     base_params, base_meas = cfg.materialize()
-    window = bistability_window(base_params,
-                                epsilon_uses_total_kappa=cfg.epsilon_uses_total_kappa)
+    window = bistability_window(
+        base_params, epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
     if not window.monostable_for_all_power and \
             window.p_minus <= base_params.power <= window.p_plus:
         raise ConfigError(
             "baseline power sits in the bistable window "
             f"({window.p_minus:.3e}, {window.p_plus:.3e}) W; consult "
             "bistability_window and move the operating point")
-    base_ss = steady_state(base_params, branch=cfg.branch,
-                           epsilon_uses_total_kappa=cfg.epsilon_uses_total_kappa)
-    if not base_ss.stable:
+    base_ss = steady_state(base_params, branch=settings.branch,
+                           epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
+    if not drift_matrix(base_params, base_ss).stable:
         raise ConfigError("baseline parameter point is dynamically unstable")
 
     variable = cfg.sweep.variable
@@ -83,7 +84,7 @@ def run_sweep(cfg: RunConfig):
     if variable in ("omega_k", "theta", "eta"):
         # state pipeline is identical across the grid; compute once
         shared["cavity"] = cavity_covariance(base_params, settings)
-        shared["dsigma_opt"] = cavity_dsigma_opt(base_params, settings)
+        shared["dsigma_opt"] = cavity_dsigma_opt(base_params, settings, shared["cavity"])
 
     def evaluate(value: float) -> SweepRow:
         try:
@@ -131,11 +132,11 @@ def run_sweep(cfg: RunConfig):
             "theta": base_meas["theta"],
         },
         "switches": {
-            "epsilon_uses_total_kappa": cfg.epsilon_uses_total_kappa,
-            "kappa_meas_mode": cfg.kappa_meas_mode,
+            "epsilon_uses_total_kappa": settings.epsilon_uses_total_kappa,
+            "kappa_meas_mode": settings.kappa_meas_mode,
             "cfi_convention": cfg.cfi_convention,
-            "vacuum_mode": cfg.vacuum_mode,
-            "derivative_method": cfg.derivative_method,
+            "vacuum_mode": settings.vacuum_mode,
+            "derivative_method": settings.derivative_method,
         },
     }
     return metadata, rows

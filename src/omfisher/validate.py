@@ -28,7 +28,7 @@ from .output import MeasurementSpec, homodyne_variance, output_covariance, \
     output_covariance_numeric, output_map
 from .params import rossi_params, steady_state
 from .pipeline import (OutputPipeline, PipelineSettings, build_measurement,
-                       cavity_covariance, cavity_dsigma_opt, output_state)
+                       cavity_covariance, cavity_dsigma_opt)
 
 __all__ = ["CheckResult", "validate", "SUITES"]
 
@@ -91,7 +91,7 @@ def _random_stable_points(n: int, rng: np.random.Generator):
             ss = steady_state(p)
         except OmfisherError:
             continue
-        if ss.stable and ss.branch_count == 1:
+        if ss.branch_count == 1 and drift_matrix(p, ss).stable:
             points.append((p, ss))
     return points
 
@@ -186,7 +186,7 @@ def _rossi_output_state():
     cav = cavity_covariance(p, _SETTINGS)
     dso = cavity_dsigma_opt(p, _SETTINGS)
     spec = build_measurement(p, omega_k=0.0, settings=_SETTINGS)
-    sig = output_state(cav.covariance.optical_block, spec).matrix
+    sig = output_covariance(cav.covariance.optical_block, spec).matrix
     dsig = output_map(dso, spec)
     return p, spec, sig, dsig
 

@@ -24,12 +24,11 @@ import pytest
 from omfisher.config import RunConfig, SweepSpec, apply_preset, load_config
 from omfisher.constants import TWO_PI
 from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
-from omfisher.output import output_map
+from omfisher.output import output_covariance, output_map
 from omfisher.params import (bistability_window, drive_amplitude, rossi_params,
                              steady_state)
 from omfisher.pipeline import (PipelineSettings, build_measurement,
-                               cavity_covariance, cavity_dsigma_opt,
-                               output_state)
+                               cavity_covariance, cavity_dsigma_opt)
 from omfisher.sweep import run_sweep
 from omfisher.validate import (_suite_cfi, _suite_kernels, _suite_lyapunov,
                                _suite_output, _suite_qfi, _suite_transient)
@@ -46,8 +45,8 @@ def fisher_point(params, omega_k=0.0, settings=SETTINGS):
     cav = cavity_covariance(params, settings)
     dso = cavity_dsigma_opt(params, settings)
     spec = build_measurement(params, omega_k=omega_k, settings=settings)
-    sigma = output_state(cav.covariance.optical_block, spec,
-                         vacuum=settings.vacuum_mode).matrix
+    sigma = output_covariance(cav.covariance.optical_block, spec,
+                              vacuum=settings.vacuum_mode).matrix
     dsigma = output_map(dso, spec)
     return sigma, dsigma
 

@@ -100,6 +100,20 @@ class TestConfig:
     def test_pipeline_settings_default_to_run_config(self):
         assert asdict(PipelineSettings()) == asdict(RunConfig().settings())
 
+    def test_switches_and_tolerances_fill_settings(self, tmp_path):
+        path = tmp_path / "switches.cfg"
+        path.write_text("[switches]\nepsilon_uses_total_kappa = yes\n"
+                        "kappa_meas_mode = kappa_in\nvacuum_mode = printed_sinc\n"
+                        "derivative_method = derivative-lyapunov\nbranch = upper\n"
+                        "cfi_convention = printed_ideal\n"
+                        "[tolerances]\ndiffusion_tol = 1e-8\nfd_step = 2.5\n")
+        cfg = load_config(str(path))
+        assert cfg.settings() == PipelineSettings(
+            epsilon_uses_total_kappa=True, kappa_meas_mode="kappa_in", branch="upper",
+            diffusion_tol=1e-8, vacuum_mode="printed_sinc",
+            derivative_method="derivative-lyapunov", fd_step=2.5)
+        assert cfg.cfi_convention == "printed_ideal"
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[plotting]\nx = 1\n")
@@ -219,21 +233,51 @@ class TestCli:
         cfgf = str(bad)
         assert main(["sweep", "--config", cfgf, "--preset", "fig1"]) == 2
 
-    @pytest.mark.parametrize("line", ["derivative_method = spectral",
-                                      "branch = sideways"])
-    def test_unknown_switch_value_exit_code(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("section, line, key", [
+        pytest.param("switches", "derivative_method = spectral", "derivative_method",
+                     id="derivative_method = spectral"),
+        pytest.param("switches", "branch = sideways", "branch", id="branch = sideways"),
+        pytest.param("switches", "epsilon_uses_total_kappa = maybe",
+                     "epsilon_uses_total_kappa", id="epsilon_uses_total_kappa = maybe"),
+        pytest.param("system", "temperature_k = warm", "temperature_k",
+                     id="temperature_k = warm"),
+        pytest.param("measurement", "theta = diagonal", "theta", id="theta = diagonal"),
+        pytest.param("measurement", "eta = 1.5", "eta", id="eta = 1.5"),
+        pytest.param("measurement", "eta = 0", "eta", id="eta = 0"),
+        pytest.param("measurement", "window_s = 0", "window_s", id="window_s = 0"),
+        pytest.param("sweep", "variable = g\nstop = 1\npoints = 5", "start",
+                     id="sweep without start"),
+        pytest.param("sweep", "variable = g\nstart = 0\nstop = 1\npoints = many",
+                     "points", id="points = many"),
+        pytest.param("tolerances", "fd_step = small", "fd_step", id="fd_step = small"),
+    ])
+    def test_unknown_switch_value_exit_code(self, tmp_path, capsys, section, line, key):
+        """A malformed or out-of-range value exits 2 at load time, before any
+        sweep point runs, with a message naming its section and key."""
         bad = tmp_path / "bad.cfg"
-        bad.write_text(f"[switches]\n{line}\n")
-        out = str(tmp_path / "rows.csv")
+        bad.write_text(f"[{section}]\n{line}\n")
+        out = tmp_path / "rows.csv"
         assert main(["sweep", "--config", str(bad), "--preset", "fig4d",
-                     "--out", out]) == 2
-        assert "config error" in capsys.readouterr().err
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"[{section}]" in err and key in err
+        assert not out.exists()
 
     def test_steady_state_command(self, config_file, capsys):
         assert main(["steady-state", "--config", config_file]) == 0
         out = capsys.readouterr().out
         assert "photon number" in out
         assert "monostable" in out
+
+    @pytest.mark.parametrize("g_hz, stable", [(129, True), (2580, False)])
+    def test_steady_state_reports_drift_verdict(self, tmp_path, capsys, g_hz, stable):
+        """The Hurwitz line comes from the drift spectrum; 20 g0 is past the
+        instability threshold of the baseline point (about 18.5 g0)."""
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(f"[system]\ng_over_2pi_hz = {g_hz}\n")
+        assert main(["steady-state", "--config", str(cfg)]) == 0
+        assert f"stable (Hurwitz)          = {stable}" in capsys.readouterr().out
 
     def test_validate_only_filters(self, capsys):
         assert main(["validate", "--only", "kernels"]) == 0

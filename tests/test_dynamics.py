@@ -199,12 +199,20 @@ class TestDiffusionMatrix:
         assert rep.diagnostics["diffusion_path"] == "laplace"
         assert 0.0 <= rep.diagnostics["diffusion_error"] <= 1e-7
 
-    def test_unstable_drift_rejected(self, rossi_point):
-        p, ss, a, _ = rossi_point
+    @pytest.mark.parametrize("solve", [
+        lambda p, a, d: diffusion_matrix(p, a),
+        lambda p, a, d: stationary_covariance(a, d),
+        lambda p, a, d: transient_covariance(p, a, d),
+    ], ids=["diffusion_matrix", "stationary_covariance", "transient_covariance"])
+    def test_unstable_drift_rejected(self, rossi_point, solve):
+        """A replaced drift decomposes its own matrix, not the stable
+        spectrum already cached on the instance it was copied from."""
+        p, ss, a, d = rossi_point
         from dataclasses import replace
+        assert a.stable
         unstable = replace(a, matrix_scaled=a.matrix_scaled + 1e9 * np.eye(4))
         with pytest.raises(UnstableDriftError):
-            diffusion_matrix(p, unstable)
+            solve(p, unstable, d)
 
     def test_anomalous_block_indefinite_but_reported(self, rossi_point):
         """The q-p anomalous cross term makes D itself indefinite; the
@@ -301,3 +309,42 @@ class TestDerivativeConsistency:
             assert rep.tolerances["fd_step"] is None
         else:
             assert rep.tolerances["fd_step"] == fd_step(p.g_freq, step)
+
+
+class TestOneSpectrum:
+    """Each cavity state decomposes its drift matrix once: the stability
+    verdict, the Brownian diffusion and the implicit derivative share it."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"eig": 0, "eigvals": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_cavity_covariance(self, monkeypatch):
+        from omfisher.pipeline import cavity_covariance
+        p = rossi_params()
+        calls = self._count(monkeypatch)
+        cavity_covariance(p)
+        assert calls == {"eig": 1, "eigvals": 0}
+
+    @pytest.mark.parametrize("method, eig", [("derivative-lyapunov", 1),
+                                             ("finite-difference", 5)])
+    def test_fisher_report(self, monkeypatch, method, eig):
+        from omfisher.pipeline import PipelineSettings, build_measurement, fisher_report
+        p = rossi_params()
+        settings = PipelineSettings(derivative_method=method)
+        spec = build_measurement(p, settings=settings)
+        calls = self._count(monkeypatch)
+        fisher_report(p, spec, settings, auto_theta=True)
+        assert calls == {"eig": eig, "eigvals": 0}
+
+    def test_spectrum_error_is_numerical(self):
+        from omfisher.errors import NumericalError
+        bad = np.full((4, 4), np.nan)
+        with pytest.raises(NumericalError):
+            DriftMatrix(matrix=bad, matrix_scaled=bad, scale=np.ones(4)).stable
