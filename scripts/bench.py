@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""Stage and end-to-end timings of omfisher, merged into BENCH_<tag>.json.
+
+    python scripts/bench.py --tag TAG --label NAME [--src DIR] [--repeat N]
+
+Every number comes from calling the library's public functions directly,
+timed with time.perf_counter in this one process:
+
+- stages at the baseline point (rossi_params): median and quartiles over N
+  calls (default 200) after one warm-up call; whatever a stage consumes is
+  built outside its timed region, on a fresh drift matrix each call so that
+  no decomposition cached on it is reused;
+- end-to-end cases: the fig1, fig2, fig4a and fig5 preset sweeps and one
+  full validate(), each max(1, N // 40) times.
+
+The record of one run goes under NAME in ``BENCH_<tag>.json`` in the current
+directory, next to the runs already there, with the python, numpy, scipy
+and BLAS versions and the CPU count.  ``--src`` imports omfisher from
+another source tree (the ``src`` directory of another commit's checkout),
+so one file holds the numbers of a parent commit and of its change.  Set
+OPENBLAS_NUM_THREADS=1 to time single-threaded BLAS; the value is recorded.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+END_TO_END = ("fig1", "fig2", "fig4a", "fig5", "validate")
+
+
+def _summary(samples, unit: float) -> dict:
+    q1, med, q3 = np.percentile(np.asarray(samples) * unit, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3), "n": len(samples)}
+
+
+def _time(body, setup, n: int) -> list:
+    body(setup())  # warm-up: lazy imports and first-call costs
+    samples = []
+    for _ in range(n):
+        arg = setup()
+        t0 = time.perf_counter()
+        body(arg)
+        samples.append(time.perf_counter() - t0)
+    return samples
+
+
+def _stages(n: int) -> dict:
+    from omfisher.dynamics import diffusion_matrix, drift_matrix, stationary_covariance
+    from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
+    from omfisher.output import cavity_output_map, output_covariance, output_map
+    from omfisher.params import rossi_params, steady_state
+    from omfisher.pipeline import (PipelineSettings, build_measurement,
+                                   cavity_covariance, cavity_dsigma_opt, fisher_report)
+
+    p = rossi_params()
+    default = PipelineSettings()
+    implicit = PipelineSettings(derivative_method="derivative-lyapunov")
+    fd = PipelineSettings(derivative_method="finite-difference")
+    ss = steady_state(p)
+    d = diffusion_matrix(p, drift_matrix(p, ss))
+
+    def decomposed_drift():
+        a = drift_matrix(p, ss)
+        a.spectrum
+        return a
+
+    spec = build_measurement(p, settings=default)
+    cav = cavity_covariance(p, default)
+    sigma_opt = cav.covariance.optical_block
+    dsigma_opt = cavity_dsigma_opt(p, default, cav)
+    g_int = cavity_output_map(spec)
+    sig = output_covariance(sigma_opt, spec, g_int=g_int).matrix
+    dsig = output_map(dsigma_opt, spec, g_int)
+
+    def output_stage(_):
+        g = cavity_output_map(spec)
+        return output_covariance(sigma_opt, spec, g_int=g), output_map(dsigma_opt, spec, g)
+
+    cases = {
+        "steady_state": (lambda _: steady_state(p), None),
+        "drift_matrix + eig": (lambda _: drift_matrix(p, ss).spectrum, None),
+        "diffusion_matrix": (lambda a: diffusion_matrix(p, a), decomposed_drift),
+        "stationary_covariance (Lyapunov solve)":
+            (lambda a: stationary_covariance(a, d), decomposed_drift),
+        "cavity_covariance": (lambda _: cavity_covariance(p, default), None),
+        "coupling derivative, implicit Lyapunov":
+            (lambda c: cavity_dsigma_opt(p, implicit, c),
+             lambda: cavity_covariance(p, implicit)),
+        "coupling derivative, Richardson FD":
+            (lambda c: cavity_dsigma_opt(p, fd, c), lambda: cavity_covariance(p, fd)),
+        "output map (sigma_out and d sigma_out)": (output_stage, None),
+        "qfi_gaussian": (lambda _: qfi_gaussian(sig, dsig), None),
+        "cfi_bhd": (lambda _: cfi_bhd(sig, dsig, 0.3, 1.0), None),
+        "theta_max, eta = 1": (lambda _: theta_max(sig, dsig, eta=1.0), None),
+        "theta_max, eta = 0.5": (lambda _: theta_max(sig, dsig, eta=0.5), None),
+        "fisher_report (auto theta, default settings)":
+            (lambda _: fisher_report(p, spec, default, auto_theta=True), None),
+    }
+    return {name: _summary(_time(body, setup or (lambda: None), n), 1e3)
+            for name, (body, setup) in cases.items()}
+
+
+def _end_to_end(n: int) -> dict:
+    from omfisher.config import apply_preset, load_config
+    from omfisher.sweep import run_sweep
+    from omfisher.validate import validate
+
+    base = load_config(None)
+    out = {}
+    for name in END_TO_END:
+        if name == "validate":
+            body = lambda _: validate()  # noqa: E731
+        else:
+            body = lambda _, cfg=apply_preset(base, name): run_sweep(cfg)  # noqa: E731
+        out[name] = _summary(_time(body, lambda: None, n), 1.0)
+    return out
+
+
+def _environment() -> dict:
+    import scipy
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "processor": platform.processor(),
+    }
+
+
+def measure(repeat: int) -> dict:
+    """One run's record: environment, stage and end-to-end timings."""
+    from omfisher import __version__
+    from omfisher.pipeline import PipelineSettings
+    return {
+        "omfisher": __version__,
+        "derivative_method_default": PipelineSettings().derivative_method,
+        "environment": _environment(),
+        "stages_ms": _stages(repeat),
+        "end_to_end_s": _end_to_end(max(1, repeat // 40)),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True, help="file name BENCH_<tag>.json")
+    parser.add_argument("--label", required=True, help="name of this run in the file")
+    parser.add_argument("--src", help="source tree to import omfisher from")
+    parser.add_argument("--repeat", type=int, default=200, help="calls per stage")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    if args.src:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+
+    path = Path(f"BENCH_{args.tag}.json")
+    record = json.loads(path.read_text()) if path.exists() else {"tag": args.tag,
+                                                                 "runs": {}}
+    record["runs"][args.label] = measure(args.repeat)
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote run {args.label!r} to {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

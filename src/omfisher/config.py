@@ -339,7 +339,22 @@ def load_config(path: str | None = None) -> RunConfig:
         if parse is None:
             raise ConfigError(f"unknown config section [{name}]")
         cfg = parse(cfg, parser[name])
+    if cfg.sweep is not None:
+        _check_sweep_domain(cfg)
     return cfg
+
+
+def _check_sweep_domain(cfg: RunConfig) -> None:
+    """Both grid ends must lie in the swept variable's domain; every domain
+    is an interval, so the grid between them does too."""
+    variable = cfg.sweep.variable
+    for end in (cfg.sweep.start, cfg.sweep.stop):
+        try:
+            _, meas = cfg.materialize(variable, end)
+        except ConfigError as exc:
+            raise ConfigError(f"[sweep] {variable} = {end!r}: {exc}") from None
+        if not 0.0 < meas["eta"] <= 1.0:
+            raise ConfigError(f"[sweep] eta = {end!r} must lie in (0, 1]")
 
 
 def _fig1(cfg: RunConfig) -> RunConfig:

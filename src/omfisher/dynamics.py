@@ -30,7 +30,6 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyder, polyval
-from scipy.integrate import quad_vec
 from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
 from scipy.special import exp1, zeta
 
@@ -66,7 +65,8 @@ _G_ASYM = np.array([(-1.0) ** m * math.factorial(2 * m + 1) for m in range(18)])
 @dataclass(frozen=True)
 class DriftMatrix:
     """Drift matrix over (dq, dp, dX, dY); SI and scaled forms, and the
-    spectrum of the scaled form, decomposed once on first use."""
+    spectrum and the Lyapunov operator of the scaled form, each decomposed
+    once on first use."""
 
     matrix: np.ndarray         # SI units
     matrix_scaled: np.ndarray  # zero-point mechanical units
@@ -87,6 +87,26 @@ class DriftMatrix:
         """True iff every eigenvalue has Re < 0 (Hurwitz)."""
         return bool(np.all(self.spectrum[0].real < 0.0))
 
+    @cached_property
+    def lyapunov_operator(self):
+        """(K, (lu, piv)): the 16x16 Kronecker operator K = A (+) A of
+        s -> A s + s A^T on the scaled drift and its LU factorization.
+        Raises DegenerateLyapunovError when K is singular."""
+        eye = np.eye(4)
+        big = np.kron(self.matrix_scaled, eye) + np.kron(eye, self.matrix_scaled)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)  # pivot check below
+                lu, piv = lu_factor(big)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise DegenerateLyapunovError(
+                "Lyapunov operator factorization failed") from exc
+        diag = np.abs(np.diag(lu))
+        if diag.min() <= 1e-14 * diag.max():
+            raise DegenerateLyapunovError(
+                "Lyapunov operator is singular (eigenvalue pair summing to zero)")
+        return big, (lu, piv)
+
 
 @dataclass(frozen=True)
 class DiffusionMatrix:
@@ -97,6 +117,10 @@ class DiffusionMatrix:
     scale: np.ndarray
     error_estimate: float      # relative, scaled space
     path: str                  # "laplace" or "frequency"
+    # L(lambda) and dL/dlambda of the Brownian kernel at the drift
+    # eigenvalues (brownian_laplace); None on the frequency path
+    laplace: np.ndarray | None = None
+    dlaplace: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -179,15 +203,22 @@ def _tau_grid(params: SystemParams, n_periods: int, nodes: int):
     return taus, wts, t_end
 
 
-def _aux_fg(z):
+def _aux_fg(z, with_g: bool = True):
     """Auxiliary functions f(z), g(z) of DLMF 6.2(ii), Re z > 0; above
     |z| = 40, where the exponentials of the E1 form overflow, their
-    asymptotic series (DLMF 6.12.3-4), exact to rounding there."""
+    asymptotic series (DLMF 6.12.3-4), exact to rounding there.  The
+    series are summed only when some |z| > 40; g is None unless with_g."""
     with np.errstate(over="ignore", invalid="ignore"):
         qm, qp = np.exp(-1j * z) * exp1(-1j * z), np.exp(1j * z) * exp1(1j * z)
-    w, big = 1.0 / (z * z), np.abs(z) > 40.0
-    return (np.where(big, polyval(w, _F_ASYM) / z, (qm - qp) / 2j),
-            np.where(big, polyval(w, _G_ASYM) * w, (qm + qp) / 2.0))
+    f = (qm - qp) / 2j
+    g = (qm + qp) / 2.0 if with_g else None
+    big = np.abs(z) > 40.0
+    if big.any():
+        w = 1.0 / (z * z)
+        f = np.where(big, polyval(w, _F_ASYM) / z, f)
+        if with_g:
+            g = np.where(big, polyval(w, _G_ASYM) * w, g)
+    return f, g
 
 
 def _truncation_bound(params: SystemParams, n: int, amod):
@@ -239,7 +270,7 @@ def brownian_laplace(params: SystemParams, lam, tol: float = 1e-7):
     w_t = 2.0 * KB * params.temperature / HBAR
     n = _matsubara_terms(params, tol)
     nu = math.pi * w_t * np.arange(1, n + 1)
-    t = nu * _aux_fg(nu / W)[0].real - W
+    t = nu * _aux_fg(nu / W, with_g=False)[0].real - W
     den = nu ** 2 - (a * a)[:, None]
     y = a / w_t  # h by its Taylor series below |y| = 1/2, against cancellation
     cot, small = 1.0 / np.tan(y), np.abs(y) < 0.5
@@ -268,8 +299,9 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix,
         raise UnstableDriftError("diffusion matrix requires a Hurwitz drift matrix")
 
     lam, vec, c, cond = a.spectrum
+    lap = dlap = None
     if cond < 1e10:
-        lap, _, bound = brownian_laplace(params, lam, tol)
+        lap, dlap, bound = brownian_laplace(params, lam, tol)
         u = np.real(vec @ (c * lap))
         brown = np.outer(_E1, u) + np.outer(u, _E1)
         err_abs = float(np.max(np.abs(vec) @ (np.abs(c) * bound)))
@@ -288,7 +320,8 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix,
 
     d_si = d_scaled * np.outer(a.scale, a.scale)
     return DiffusionMatrix(matrix=d_si, matrix_scaled=d_scaled, scale=a.scale,
-                           error_estimate=rel_err, path=path)
+                           error_estimate=rel_err, path=path,
+                           laplace=lap, dlaplace=dlap)
 
 
 def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix,
@@ -299,6 +332,8 @@ def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix,
     spectral integral with a narrow feature at the mechanical resonance.
     Returns the block e1 u^T + u e1^T and quad_vec's error estimate of u.
     """
+    from scipy.integrate import quad_vec  # see kernels._kernel_quad
+
     m, wm, gam, T, W = (params.mass, params.omega_m, params.gamma,
                         params.temperature, params.cutoff)
     pref = 2.0 * m * gam / math.pi
@@ -325,33 +360,23 @@ def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix,
     return np.outer(_E1, u) + np.outer(u, _E1), float(err)
 
 
-def lyapunov_solve(a: np.ndarray, d: np.ndarray):
-    """Solve A s + s A^T = -D through the 16x16 Kronecker system.
+def lyapunov_solve(a: DriftMatrix, d: np.ndarray):
+    """Solve A s + s A^T = -D on the scaled drift through its factorized
+    16x16 Kronecker operator (``DriftMatrix.lyapunov_operator``), so every
+    right-hand side at one drift shares one LU.
 
     One step of iterative refinement keeps the relative residual at the
     rounding floor.  Returns (sigma, residual).
     """
-    a = np.asarray(a, dtype=float)
+    big, lu_piv = a.lyapunov_operator
+    a_s = a.matrix_scaled
     d = np.asarray(d, dtype=float)
-    n = a.shape[0]
-    eye = np.eye(n)
-    big = np.kron(a, eye) + np.kron(eye, a)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)  # pivot check below
-            lu, piv = lu_factor(big)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise DegenerateLyapunovError("Lyapunov operator factorization failed") from exc
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * diag.max():
-        raise DegenerateLyapunovError(
-            "Lyapunov operator is singular (eigenvalue pair summing to zero)")
     rhs = -d.ravel()
-    x = lu_solve((lu, piv), rhs)
-    x -= lu_solve((lu, piv), big @ x - rhs)
-    sigma = x.reshape(n, n)
+    x = lu_solve(lu_piv, rhs)
+    x -= lu_solve(lu_piv, big @ x - rhs)
+    sigma = x.reshape(4, 4)
     sigma = 0.5 * (sigma + sigma.T)
-    res = np.linalg.norm(a @ sigma + sigma @ a.T + d) / (np.linalg.norm(d) + 1e-300)
+    res = np.linalg.norm(a_s @ sigma + sigma @ a_s.T + d) / (np.linalg.norm(d) + 1e-300)
     return sigma, float(res)
 
 
@@ -359,7 +384,7 @@ def stationary_covariance(a: DriftMatrix, d: DiffusionMatrix) -> CovarianceMatri
     """Stationary covariance from the Lyapunov equation (scaled solve)."""
     if not a.stable:
         raise UnstableDriftError("stationary covariance requires a Hurwitz drift matrix")
-    sigma_scaled, res = lyapunov_solve(a.matrix_scaled, d.matrix_scaled)
+    sigma_scaled, res = lyapunov_solve(a, d.matrix_scaled)
     sigma_si = sigma_scaled * np.outer(a.scale, a.scale)
     return CovarianceMatrix4(matrix=sigma_si, matrix_scaled=sigma_scaled,
                              scale=a.scale.copy(), residual=res)

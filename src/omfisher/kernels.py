@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import HBAR, KB
 from .errors import DomainError, QuadratureError
@@ -170,6 +169,8 @@ def _kernel_quad(bath: BathSpec, tau: float, tol: float, kind: str) -> KernelVal
     ``tol`` is relative to the non-oscillatory envelope int J coth dw;
     the returned ``abs_error_estimate`` is absolute.
     """
+    from scipy.integrate import quad  # a large import that only the oracles need
+
     if tol <= 0:
         raise DomainError("tol must be positive")
     if not math.isfinite(tau):

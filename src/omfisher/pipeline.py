@@ -49,7 +49,7 @@ class PipelineSettings:
     branch: str | None = None
     diffusion_tol: float = 1e-7
     vacuum_mode: str = "identity"  # or "printed_sinc"
-    derivative_method: str = "finite-difference"
+    derivative_method: str = "derivative-lyapunov"
     fd_step: float | None = None
 
 
@@ -121,10 +121,11 @@ def cavity_dsigma_opt(params: SystemParams,
                       settings: PipelineSettings = PipelineSettings(),
                       cavity: CavityState | None = None) -> np.ndarray:
     """d(sigma_opt)/dg at the configured coupling: the derivative Lyapunov
-    equation for "derivative-lyapunov", Richardson central differences
-    (``fisher.dsigma_dg``) otherwise.  ``cavity``, the state at ``params``
-    when the caller already has it, spares the implicit route a re-solve;
-    the differences always solve their own points."""
+    equation for "derivative-lyapunov" (the default), Richardson central
+    differences (``fisher.dsigma_dg``, the cross-check) otherwise.
+    ``cavity``, the state at ``params`` when the caller already has it,
+    spares the implicit route a re-solve; the differences always solve
+    their own points."""
     if settings.derivative_method == "derivative-lyapunov":
         return _cavity_derivative_lyapunov(
             params, settings, cavity or cavity_covariance(params, settings))
@@ -157,7 +158,10 @@ def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings
         A s' + s' A^T = -(A' s + s A'^T + D'),
 
     with A' from implicit differentiation of the steady state and D' from
-    the Frechet derivative of exp(A tau) inside the Brownian integral.
+    the Frechet derivative of exp(A tau) inside the Brownian integral.  It
+    reuses the cavity state's eigendecomposition, its Laplace transforms
+    L, L' (re-evaluated only on the frequency path, which keeps none) and
+    the LU of the Lyapunov operator, which is the same as for sigma.
     """
     ss, a, sigma_s = cav.steady, cav.drift, cav.covariance.matrix_scaled
     if not a.stable:
@@ -174,7 +178,9 @@ def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings
     # Frechet derivative of exp(A tau) contracted with the kernel,
     # d/dg int k(tau) e^(A tau) e1 dtau: divided differences of L(lambda)
     lam, vec, c_vec, _ = a.spectrum
-    lap, dlap, _ = brownian_laplace(params, lam, settings.diffusion_tol)
+    lap, dlap = cav.diffusion.laplace, cav.diffusion.dlaplace
+    if lap is None:
+        lap, dlap, _ = brownian_laplace(params, lam, settings.diffusion_tol)
     b_mat = np.linalg.solve(vec, da.astype(complex) @ vec)
     dl = lam[None, :] - lam[:, None]
     close = np.abs(dl) < 1e-8 * np.max(np.abs(lam))
@@ -185,7 +191,7 @@ def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings
     d_brown_prime = np.outer(_E1, w_int) + np.outer(w_int, _E1)
 
     rhs = da @ sigma_s + sigma_s @ da.T + d_brown_prime
-    sigma_prime, _ = lyapunov_solve(a.matrix_scaled, rhs)
+    sigma_prime, _ = lyapunov_solve(a, rhs)
     return sigma_prime[2:, 2:]
 
 

@@ -2,7 +2,8 @@
 
 Each check pits an implementation path against an independent oracle:
 closed-form kernels vs adaptive quadrature, the closed-form Brownian
-diffusion vs the frequency-domain integral, Lyapunov solve vs transient
+diffusion vs the frequency-domain integral, the implicit coupling
+derivative vs Richardson differences, Lyapunov solve vs transient
 integration, closed-form output covariance vs the double integral, the
 Gaussian QFI formula vs the truncated-Fock SLD oracle, and the homodyne CFI
 formula vs numeric Fisher information of the outcome pdf (including the
@@ -35,6 +36,8 @@ __all__ = ["CheckResult", "validate", "SUITES"]
 SUITES = ("kernels", "lyapunov", "transient", "output", "qfi", "cfi")
 
 _SETTINGS = PipelineSettings()
+_FD_SETTINGS = PipelineSettings(derivative_method="finite-difference")
+_FD_GATE = 1e-5  # Richardson truncation and round-off, not the suite's tol
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,17 @@ def _suite_lyapunov(tol: float) -> list[CheckResult]:
         elapsed += time.perf_counter() - t0
         worst = max(worst, cov.residual)
     per_point = elapsed / len(points)
-    worst_freq = 0.0
+    worst_freq = worst_fd = 0.0
     for p in _transient_points():
-        a = drift_matrix(p, steady_state(p))
-        brown = diffusion_matrix(p, a).matrix_scaled - np.diag([0, 0, 1, 1]) * p.kappa / 2
-        gap = np.linalg.norm(brownian_diffusion_freq(p, a)[0] - brown) / np.linalg.norm(brown)
+        cav = cavity_covariance(p, _SETTINGS)
+        brown = cav.diffusion.matrix_scaled - np.diag([0, 0, 1, 1]) * p.kappa / 2
+        gap = np.linalg.norm(brownian_diffusion_freq(p, cav.drift)[0] - brown) / \
+            np.linalg.norm(brown)
         worst_freq = max(worst_freq, float(gap))
+        d_fd = cavity_dsigma_opt(p, _FD_SETTINGS)
+        gap = np.linalg.norm(cavity_dsigma_opt(p, _SETTINGS, cav) - d_fd) / \
+            np.linalg.norm(d_fd)
+        worst_fd = max(worst_fd, float(gap))
     return [
         CheckResult("lyapunov", "relative residual, baseline + 50 random points",
                     worst <= tol, worst, tol),
@@ -124,6 +132,8 @@ def _suite_lyapunov(tol: float) -> list[CheckResult]:
         CheckResult("lyapunov",
                     "Brownian diffusion: closed form vs frequency-domain integral",
                     worst_freq <= tol, worst_freq, tol, "5 transient-suite points"),
+        CheckResult("lyapunov", "coupling derivative: implicit vs Richardson FD",
+                    worst_fd <= _FD_GATE, worst_fd, _FD_GATE, "5 transient-suite points"),
     ]
 
 

@@ -1,0 +1,57 @@
+"""Schema of the BENCH_<tag>.json files written by scripts/bench.py (not
+the times themselves, which depend on the host)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+
+
+@pytest.fixture()
+def bench(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "END_TO_END", ("fig4a",))  # keep the test short
+    monkeypatch.chdir(tmp_path)
+    return module
+
+
+def _check_timing(entry, n):
+    assert set(entry) == {"median", "q1", "q3", "n"}
+    assert entry["n"] == n
+    assert 0.0 < entry["q1"] <= entry["median"] <= entry["q3"]
+
+
+def test_runs_merge_into_one_file(bench, tmp_path):
+    assert bench.main(["--tag", "t", "--label", "parent", "--repeat", "3"]) == 0
+    assert bench.main(["--tag", "t", "--label", "change", "--repeat", "2"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["tag"] == "t"
+    assert set(record["runs"]) == {"parent", "change"}
+    for label, n in (("parent", 3), ("change", 2)):
+        run = record["runs"][label]
+        assert set(run) == {"omfisher", "derivative_method_default", "environment",
+                            "stages_ms", "end_to_end_s"}
+        assert run["derivative_method_default"] == "derivative-lyapunov"
+        env = run["environment"]
+        for key in ("python", "numpy", "scipy", "blas", "cpu_count",
+                    "openblas_num_threads", "machine", "processor"):
+            assert key in env
+        assert env["cpu_count"] >= 1
+        for stage in ("steady_state", "diffusion_matrix",
+                      "stationary_covariance (Lyapunov solve)",
+                      "coupling derivative, implicit Lyapunov",
+                      "coupling derivative, Richardson FD",
+                      "fisher_report (auto theta, default settings)"):
+            _check_timing(run["stages_ms"][stage], n)
+        assert set(run["end_to_end_s"]) == {"fig4a"}
+        _check_timing(run["end_to_end_s"]["fig4a"], 1)
+
+
+def test_repeat_must_be_positive(bench):
+    with pytest.raises(SystemExit):
+        bench.main(["--tag", "t", "--label", "x", "--repeat", "0"])

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -104,14 +107,14 @@ class TestConfig:
         path = tmp_path / "switches.cfg"
         path.write_text("[switches]\nepsilon_uses_total_kappa = yes\n"
                         "kappa_meas_mode = kappa_in\nvacuum_mode = printed_sinc\n"
-                        "derivative_method = derivative-lyapunov\nbranch = upper\n"
+                        "derivative_method = finite-difference\nbranch = upper\n"
                         "cfi_convention = printed_ideal\n"
                         "[tolerances]\ndiffusion_tol = 1e-8\nfd_step = 2.5\n")
         cfg = load_config(str(path))
         assert cfg.settings() == PipelineSettings(
             epsilon_uses_total_kappa=True, kappa_meas_mode="kappa_in", branch="upper",
             diffusion_tol=1e-8, vacuum_mode="printed_sinc",
-            derivative_method="derivative-lyapunov", fd_step=2.5)
+            derivative_method="finite-difference", fd_step=2.5)
         assert cfg.cfi_convention == "printed_ideal"
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -264,6 +267,22 @@ class TestCli:
         assert f"[{section}]" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", ["variable = eta\nstart = 0\nstop = 1",
+                                       "variable = kappa\nstart = -1\nstop = 1e8"],
+                             ids=["eta from 0", "kappa from -1"])
+    def test_sweep_grid_outside_domain_exit_code(self, tmp_path, capsys, sweep):
+        """A grid end outside the swept variable's domain is a configuration
+        error when the file is loaded (exit 2), not a failure at that point
+        of the sweep (exit 1)."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[sweep]\n{sweep}\npoints = 5\n")
+        with pytest.raises(ConfigError, match=r"^\[sweep\] (eta|kappa) = "):
+            load_config(str(bad))
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert "config error: [sweep]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_steady_state_command(self, config_file, capsys):
         assert main(["steady-state", "--config", config_file]) == 0
         out = capsys.readouterr().out
@@ -291,3 +310,20 @@ class TestCli:
 
     def test_validate_unknown_suite(self, capsys):
         assert main(["validate", "--only", "nonsense"]) == 1
+
+
+def test_production_path_does_not_import_scipy_integrate():
+    """scipy.integrate serves only the quadrature oracles (kernel quadrature
+    and the frequency-domain diffusion), so importing the package, the CLI
+    and validate and running one report leaves it unloaded."""
+    code = ("import sys, omfisher, omfisher.cli, omfisher.validate\n"
+            "from omfisher.params import rossi_params\n"
+            "from omfisher.pipeline import build_measurement, fisher_report\n"
+            "p = rossi_params()\n"
+            "fisher_report(p, build_measurement(p), auto_theta=True)\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "False"

@@ -223,13 +223,17 @@ class TestDiffusionMatrix:
         assert d.error_estimate < 1e-7
 
 
+def _bare_drift(m):
+    return DriftMatrix(matrix=m, matrix_scaled=m, scale=np.ones(4))
+
+
 class TestLyapunovSolve:
     def test_direct_substitution(self):
         rng = np.random.default_rng(3)
         c = rng.normal(size=(4, 4))
         c = c + c.T + 8.0 * np.eye(4)
         lam = 0.7
-        sigma, res = lyapunov_solve(-0.5 * lam * np.eye(4), lam * c)
+        sigma, res = lyapunov_solve(_bare_drift(-0.5 * lam * np.eye(4)), lam * c)
         assert np.allclose(sigma, c, rtol=1e-12)
         assert res < 1e-12
 
@@ -242,8 +246,8 @@ class TestLyapunovSolve:
         assert np.allclose(cov.optical_block, 0.5 * np.eye(2), atol=1e-12)
 
     def test_degenerate_pair_raises(self):
-        a = np.diag([1.0, -1.0, 2.0, -2.0])
-        with pytest.raises(DegenerateLyapunovError):
+        a = _bare_drift(np.diag([1.0, -1.0, 2.0, -2.0]))
+        with pytest.raises(DegenerateLyapunovError, match="singular"):
             lyapunov_solve(a, np.eye(4))
 
     def test_residual_invariant(self, rossi_point):
@@ -312,17 +316,29 @@ class TestDerivativeConsistency:
 
 
 class TestOneSpectrum:
-    """Each cavity state decomposes its drift matrix once: the stability
-    verdict, the Brownian diffusion and the implicit derivative share it."""
+    """Each cavity state decomposes its drift matrix once, evaluates the
+    Laplace transforms of the kernel once and factorizes its Lyapunov
+    operator once: the stability verdict, the Brownian diffusion, sigma and
+    the implicit derivative share them."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"eig": 0, "eigvals": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kw):
-                calls[_name] += 1
-                return _real(*args, **kw)
-            monkeypatch.setattr(np.linalg, name, counted)
+        import omfisher.dynamics as dyn
+        import omfisher.pipeline as pipe
+        calls = {"eig": 0, "eigvals": 0, "brownian_laplace": 0, "lu_factor": 0}
+
+        def counted(real, name):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+            return wrapper
+
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), name))
+        laplace = counted(dyn.brownian_laplace, "brownian_laplace")
+        monkeypatch.setattr(dyn, "brownian_laplace", laplace)
+        monkeypatch.setattr(pipe, "brownian_laplace", laplace)
+        monkeypatch.setattr(dyn, "lu_factor", counted(dyn.lu_factor, "lu_factor"))
         return calls
 
     def test_cavity_covariance(self, monkeypatch):
@@ -330,18 +346,59 @@ class TestOneSpectrum:
         p = rossi_params()
         calls = self._count(monkeypatch)
         cavity_covariance(p)
-        assert calls == {"eig": 1, "eigvals": 0}
+        assert calls == {"eig": 1, "eigvals": 0, "brownian_laplace": 1, "lu_factor": 1}
 
-    @pytest.mark.parametrize("method, eig", [("derivative-lyapunov", 1),
-                                             ("finite-difference", 5)])
-    def test_fisher_report(self, monkeypatch, method, eig):
+    @pytest.mark.parametrize("method, solves", [(None, 1), ("derivative-lyapunov", 1),
+                                                ("finite-difference", 5)])
+    def test_fisher_report(self, monkeypatch, method, solves):
+        """The default is the implicit route: one of each per report."""
         from omfisher.pipeline import PipelineSettings, build_measurement, fisher_report
         p = rossi_params()
-        settings = PipelineSettings(derivative_method=method)
+        settings = PipelineSettings() if method is None else \
+            PipelineSettings(derivative_method=method)
         spec = build_measurement(p, settings=settings)
         calls = self._count(monkeypatch)
-        fisher_report(p, spec, settings, auto_theta=True)
-        assert calls == {"eig": eig, "eigvals": 0}
+        rep = fisher_report(p, spec, settings, auto_theta=True)
+        assert rep.derivative_method == (method or "derivative-lyapunov")
+        assert calls == {"eig": solves, "eigvals": 0, "brownian_laplace": solves,
+                         "lu_factor": solves}
+
+    def test_frequency_path_evaluates_laplace_for_derivative(self, monkeypatch):
+        """The frequency path keeps no Laplace transforms, so the implicit
+        derivative evaluates them itself, at the same eigenvalues."""
+        from dataclasses import replace
+        from omfisher.pipeline import (PipelineSettings, _cavity_derivative_lyapunov,
+                                       cavity_covariance)
+        p = rossi_params()
+        settings = PipelineSettings()
+        cav = cavity_covariance(p, settings)
+        d_ref = _cavity_derivative_lyapunov(p, settings, cav)
+        freq = replace(cav, diffusion=replace(cav.diffusion, laplace=None,
+                                              dlaplace=None, path="frequency"))
+        calls = self._count(monkeypatch)
+        assert np.array_equal(_cavity_derivative_lyapunov(p, settings, freq), d_ref)
+        assert calls["brownian_laplace"] == 1 and calls["lu_factor"] == 0
+
+    @pytest.mark.parametrize("temperature, f_series", [(0.0, 0), (11.0, 1)])
+    def test_asymptotic_series_only_where_needed(self, monkeypatch, temperature,
+                                                 f_series):
+        """Every drift eigenvalue has |z| = |lambda|/W < 40 at the baseline, so
+        diffusion_matrix sums no asymptotic series for them; at T > 0 the
+        Matsubara nodes (|z| > 40) need the series of f alone."""
+        import omfisher.dynamics as dyn
+        p = rossi_params(temperature=temperature)
+        a = drift_matrix(p, steady_state(p))
+        assert np.all(np.abs(a.spectrum[0]) / p.cutoff < 40.0)
+        coeffs, real = [], dyn.polyval
+
+        def recording(x, c, *args, **kw):
+            coeffs.append(c)
+            return real(x, c, *args, **kw)
+
+        monkeypatch.setattr(dyn, "polyval", recording)
+        diffusion_matrix(p, a)
+        assert not any(c is dyn._G_ASYM for c in coeffs)
+        assert sum(c is dyn._F_ASYM for c in coeffs) == f_series
 
     def test_spectrum_error_is_numerical(self):
         from omfisher.errors import NumericalError
