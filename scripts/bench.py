@@ -53,7 +53,7 @@ def _time(body, setup, n: int) -> list:
 def _stages(n: int) -> dict:
     from omfisher.dynamics import diffusion_matrix, drift_matrix, stationary_covariance
     from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
-    from omfisher.output import cavity_output_map, output_covariance, output_map
+    from omfisher.output import output_covariance, output_map
     from omfisher.params import rossi_params, steady_state
     from omfisher.pipeline import (PipelineSettings, build_measurement,
                                    cavity_covariance, cavity_dsigma_opt, fisher_report)
@@ -74,13 +74,11 @@ def _stages(n: int) -> dict:
     cav = cavity_covariance(p, default)
     sigma_opt = cav.covariance.optical_block
     dsigma_opt = cavity_dsigma_opt(p, default, cav)
-    g_int = cavity_output_map(spec)
-    sig = output_covariance(sigma_opt, spec, g_int=g_int).matrix
-    dsig = output_map(dsigma_opt, spec, g_int)
+    sig = output_covariance(sigma_opt, spec).matrix
+    dsig = output_map(dsigma_opt, spec)
 
     def output_stage(_):
-        g = cavity_output_map(spec)
-        return output_covariance(sigma_opt, spec, g_int=g), output_map(dsigma_opt, spec, g)
+        return output_covariance(sigma_opt, spec), output_map(dsigma_opt, spec)
 
     cases = {
         "steady_state": (lambda _: steady_state(p), None),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import PRESETS, apply_preset, load_config
 from .dynamics import drift_matrix
@@ -51,9 +52,9 @@ def _cmd_sweep(args) -> int:
     if args.preset:
         cfg = apply_preset(cfg, args.preset)
     if args.out:
-        cfg = cfg.__class__(**{**cfg.__dict__, "out_path": args.out})
+        cfg = replace(cfg, out_path=args.out)
     if args.format:
-        cfg = cfg.__class__(**{**cfg.__dict__, "out_format": args.format})
+        cfg = replace(cfg, out_format=args.format)
     metadata, rows = run_sweep(cfg)
     write_rows(cfg.out_path, metadata, rows, cfg.out_format)
     n_bad = sum(1 for r in rows if not r.stable)

@@ -1,7 +1,8 @@
 """Run configuration: flat INI-style key=value files with section headers.
 
 All quantities are SI; frequency-like entries accept the /2pi convenience
-keys the experimental literature quotes (e.g. ``kappa_over_2pi_hz``).
+keys the experimental literature quotes (e.g. ``kappa_over_2pi_hz``), one
+spelling per quantity.  Sections are parsed in a fixed order.
 Relational defaults mirror the baseline study: delta0 = -2 kappa,
 cutoff = 5 omega_m, detection window 1/kappa.  Figure presets fig1..fig5
 fill the sweep block programmatically; ranges the source figures leave
@@ -35,18 +36,22 @@ class SweepSpec:
     points: int
 
     def grid(self) -> list[float]:
+        """``points`` values from ``start`` to ``stop``, both exactly, evenly
+        spaced in the value or (log) in its logarithm."""
         if self.points < 2:
             raise ConfigError("sweep grids need at least 2 points")
         n = self.points
         if self.scale == "linear":
             step = (self.stop - self.start) / (n - 1)
-            return [self.start + i * step for i in range(n)]
-        if self.scale == "log":
+            inner = [self.start + i * step for i in range(1, n - 1)]
+        elif self.scale == "log":
             if self.start <= 0 or self.stop <= 0:
                 raise ConfigError("log grids need positive endpoints")
             la, lb = math.log(self.start), math.log(self.stop)
-            return [math.exp(la + i * (lb - la) / (n - 1)) for i in range(n)]
-        raise ConfigError(f"unknown grid scale {self.scale!r}")
+            inner = [math.exp(la + i * (lb - la) / (n - 1)) for i in range(1, n - 1)]
+        else:
+            raise ConfigError(f"unknown grid scale {self.scale!r}")
+        return [self.start] + inner + [self.stop]
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,6 @@ _FREQ_KEYS = {
     "g": "g_freq",
     "delta0": "delta0",
     "cutoff": "cutoff",
-    "omega_k": "omega_k",
     "omega_laser": "omega_laser",
 }
 
@@ -171,23 +175,37 @@ def _read(section, key: str, get: str = "getfloat"):
         raise ConfigError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
 
 
+def _one_spelling(section, *keys: str) -> None:
+    """At most one of ``keys``, which all set one quantity, may be given."""
+    given = [k for k in keys if k in section]
+    if len(given) > 1:
+        raise ConfigError(f"[{section.name}] {' and '.join(given)} set the same "
+                          "quantity; give only one")
+
+
+def _read_freq(section, key: str) -> float:
+    """``key`` in rad/s, or ``key``_over_2pi_hz converted to rad/s."""
+    if key in section:
+        return _read(section, key)
+    return TWO_PI * _read(section, key + "_over_2pi_hz")
+
+
 def _parse_system(cfg: RunConfig, section) -> RunConfig:
     updates = {}
-    known = set()
+    known = {"kappa", "kappa_over_2pi_hz", "laser_wavelength_m"}
     for key, attr in _FREQ_KEYS.items():
-        if attr in ("omega_k",):
-            continue
-        known.update({key, key + "_over_2pi_hz"})
-        if key in section:
-            updates[attr] = _read(section, key)
-        if key + "_over_2pi_hz" in section:
-            updates[attr] = TWO_PI * _read(section, key + "_over_2pi_hz")
+        spellings = (key, key + "_over_2pi_hz")
+        known.update(spellings)
+        _one_spelling(section, *spellings)
+        if key in ("kappa_in", "kappa_loss"):
+            _one_spelling(section, "kappa", "kappa_over_2pi_hz", *spellings)
+        if any(k in section for k in spellings):
+            updates[attr] = _read_freq(section, key)
+    _one_spelling(section, "omega_laser", "omega_laser_over_2pi_hz",
+                  "laser_wavelength_m")
     if "kappa" in section or "kappa_over_2pi_hz" in section:
-        known.update({"kappa", "kappa_over_2pi_hz"})
-        total = _read(section, "kappa") if "kappa" in section else \
-            TWO_PI * _read(section, "kappa_over_2pi_hz")
-        updates.setdefault("kappa_in", total / 2.0)
-        updates.setdefault("kappa_loss", total / 2.0)
+        total = _read_freq(section, "kappa")
+        updates["kappa_in"] = updates["kappa_loss"] = total / 2.0
     scalars = {"mass_kg": "mass", "temperature_k": "temperature",
                "power_w": "power", "delta0_in_kappa": "delta0_in_kappa",
                "cutoff_in_omega_m": "cutoff_in_omega_m"}
@@ -196,12 +214,9 @@ def _parse_system(cfg: RunConfig, section) -> RunConfig:
         if key in section:
             updates[attr] = _read(section, key)
     if "laser_wavelength_m" in section:
-        known.add("laser_wavelength_m")
         updates["omega_laser"] = TWO_PI * C_LIGHT / _read(section, "laser_wavelength_m")
-    if "delta0" in updates or "delta0_over_2pi_hz" in section:
-        updates.setdefault("delta0_in_kappa", None)
-        if updates.get("delta0") is not None:
-            updates["delta0_in_kappa"] = None
+    if "delta0" in updates:
+        updates["delta0_in_kappa"] = None
     if "cutoff" in updates:
         updates["cutoff_in_omega_m"] = None
     unknown = set(section.keys()) - known
@@ -214,10 +229,9 @@ def _parse_measurement(cfg: RunConfig, section) -> RunConfig:
     updates = {}
     known = {"omega_k", "omega_k_over_2pi_hz", "omega_k_in_kappa",
              "window_s", "eta", "theta"}
-    if "omega_k" in section:
-        updates["omega_k"] = _read(section, "omega_k")
-    if "omega_k_over_2pi_hz" in section:
-        updates["omega_k"] = TWO_PI * _read(section, "omega_k_over_2pi_hz")
+    _one_spelling(section, "omega_k", "omega_k_over_2pi_hz", "omega_k_in_kappa")
+    if "omega_k" in section or "omega_k_over_2pi_hz" in section:
+        updates["omega_k"] = _read_freq(section, "omega_k")
     if "omega_k_in_kappa" in section:
         updates["omega_k"] = _read(section, "omega_k_in_kappa") * cfg.base_kappa()
     if "window_s" in section:
@@ -335,10 +349,13 @@ def load_config(path: str | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     for name in parser.sections():
-        parse = _SECTION_PARSERS.get(name)
-        if parse is None:
+        if name not in _SECTION_PARSERS:
             raise ConfigError(f"unknown config section [{name}]")
-        cfg = parse(cfg, parser[name])
+    # a fixed order, so that relational keys such as omega_k_in_kappa read
+    # the [system] values wherever that section stands in the file
+    for name, parse in _SECTION_PARSERS.items():
+        if parser.has_section(name):
+            cfg = parse(cfg, parser[name])
     if cfg.sweep is not None:
         _check_sweep_domain(cfg)
     return cfg

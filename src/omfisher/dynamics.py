@@ -34,9 +34,9 @@ from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
 from scipy.special import exp1, zeta
 
 from .constants import HBAR, KB
-from .errors import (DegenerateLyapunovError, DomainError, NumericalError,
-                     QuadratureError, UnstableDriftError)
-from .kernels import BathSpec, dr_closed_array
+from .errors import (DegenerateLyapunovError, NumericalError, QuadratureError,
+                     UnstableDriftError)
+from .kernels import BathSpec, _w_coth, dr_closed_array
 from .params import SteadyState, SystemParams
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "DiffusionMatrix",
     "CovarianceMatrix4",
     "drift_matrix",
-    "matrix_exponential",
     "diffusion_matrix",
     "brownian_laplace",
     "brownian_diffusion_freq",
@@ -54,6 +53,10 @@ __all__ = [
 ]
 
 _E1 = np.array([0.0, 1.0, 0.0, 0.0])
+# transient oracle: build-up horizon in mechanical periods, Gauss-Legendre
+# nodes per panel of its tau grid
+_TRANSIENT_PERIODS = 2000
+_TRANSIENT_NODES = 7
 _MAX_TERMS = 1 << 16
 # Taylor coefficients zeta(2k+2)/pi^(2k+2) of brownian_laplace's h(y) in y^2
 _H_TAYLOR = zeta(2.0 * np.arange(1, 13)) / np.pi ** (2.0 * np.arange(1, 13))
@@ -161,29 +164,19 @@ def drift_matrix(params: SystemParams, ss: SteadyState) -> DriftMatrix:
     return DriftMatrix(matrix=a, matrix_scaled=a_scaled, scale=scale)
 
 
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scaling-and-squaring with diagonal Pade approximants."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix entries must be finite")
-    out = expm(m)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("matrix exponential overflowed")
-    return out
-
-
 def _scaled_kernel(params: SystemParams, tau: np.ndarray) -> np.ndarray:
     """hbar*D_R(tau) expressed in zero-point momentum units: 2 D_R/(m omega_m)."""
     bath = BathSpec.from_params(params)
     return dr_closed_array(bath, tau) * (2.0 / (params.mass * params.omega_m))
 
 
-def _tau_grid(params: SystemParams, n_periods: int, nodes: int):
-    """Deterministic quadrature grid for the Brownian tau integral."""
+def _tau_grid(params: SystemParams):
+    """Deterministic quadrature grid for the Brownian tau integral: Gauss-
+    Legendre panels over _TRANSIENT_PERIODS mechanical periods."""
     kap, wm, cut, d0 = params.kappa, params.omega_m, params.cutoff, params.delta0
     omega_fast = max(abs(d0), kap, cut, wm)
     w2 = math.pi / wm
-    t_end = max(n_periods * 2.0 * math.pi / wm, 100.0 / cut)
+    t_end = max(_TRANSIENT_PERIODS * 2.0 * math.pi / wm, 100.0 / cut)
     # fine region covers the optical transient and the kernel support
     t1 = min(max(80.0 / kap, 40.0 / cut), t_end)
     w1 = min(math.pi / omega_fast, 0.25 / cut, w2)
@@ -195,7 +188,7 @@ def _tau_grid(params: SystemParams, n_periods: int, nodes: int):
         edges.append(np.linspace(t1, t_end, n2 + 1)[1:])
     edges = np.concatenate(edges)
 
-    x, w = leggauss(nodes)
+    x, w = leggauss(_TRANSIENT_NODES)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     taus = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -324,13 +317,13 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix,
                            laplace=lap, dlaplace=dlap)
 
 
-def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix,
-                            rtol: float = 1e-10):
+def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix):
     """Frequency-domain evaluation of the Brownian block (oracle and
     ill-conditioned-eigenbasis path).  Uses int_0^inf cos(w tau) exp(A tau)
     dtau = -Re (A + i w)^(-1) to turn the tau integral into a smooth
     spectral integral with a narrow feature at the mechanical resonance.
-    Returns the block e1 u^T + u e1^T and quad_vec's error estimate of u.
+    Returns the block e1 u^T + u e1^T and quad_vec's error estimate of u
+    at relative tolerance 1e-10.
     """
     from scipy.integrate import quad_vec  # see kernels._kernel_quad
 
@@ -341,21 +334,13 @@ def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix,
     eye = np.eye(4)
 
     def integrand(w):
-        if T == 0.0:
-            core = w
-        else:
-            x = HBAR * w / (2.0 * KB * T)
-            if x < 1e-4:  # w coth(x) -> (2 kB T/hbar)(1 + x^2/3 - x^4/45)
-                core = (2.0 * KB * T / HBAR) * (1.0 + x * x / 3.0 - x ** 4 / 45.0)
-            else:
-                core = w / math.tanh(x)
-        f = pref * core * math.exp(-w / W) * (2.0 / (m * wm))
+        f = pref * _w_coth(w, T) * math.exp(-w / W) * (2.0 / (m * wm))
         r = np.linalg.solve(a_s + 1j * w * eye, _E1.astype(complex))
         return -f * r.real
 
     upper = 60.0 * W
     pts = [p for p in (wm, abs(params.delta0), params.kappa) if 0 < p < upper]
-    u, err = quad_vec(integrand, 0.0, upper, epsrel=rtol, epsabs=0.0,
+    u, err = quad_vec(integrand, 0.0, upper, epsrel=1e-10, epsabs=0.0,
                       points=sorted(set(pts)), limit=2000)
     return np.outer(_E1, u) + np.outer(u, _E1), float(err)
 
@@ -396,15 +381,14 @@ def _van_loan_step(a_scaled: np.ndarray, d_scaled: np.ndarray, h: float):
     blk[:4, :4] = -a_scaled
     blk[:4, 4:] = d_scaled
     blk[4:, 4:] = a_scaled.T
-    f = matrix_exponential(blk * h)
+    f = expm(blk * h)
     e = f[4:, 4:].T
     q = e @ f[:4, 4:]
     return e, 0.5 * (q + q.T)
 
 
 def transient_covariance(params: SystemParams, a: DriftMatrix,
-                         d: DiffusionMatrix, n_periods: int = 2000,
-                         nodes: int = 7, rel_settle: float = 1e-9) -> CovarianceMatrix4:
+                         d: DiffusionMatrix) -> CovarianceMatrix4:
     """Long-time integration of d sigma/dt = A sigma + sigma A^T + D(t).
 
     Oracle for the stationary Lyapunov solve.  Starting from sigma(0) = 0,
@@ -420,7 +404,7 @@ def transient_covariance(params: SystemParams, a: DriftMatrix,
         raise NumericalError("drift eigenbasis too ill-conditioned for the "
                              "transient oracle", details={"cond": cond})
 
-    taus, wts, t_a = _tau_grid(params, n_periods, nodes)
+    taus, wts, t_a = _tau_grid(params)
     k = _scaled_kernel(params, taus)
     kw = wts * k
     # K_j = int k e^(lam_j tau); Khat_i = int k(tau) e^(lam_i (TA - tau))
@@ -446,7 +430,7 @@ def transient_covariance(params: SystemParams, a: DriftMatrix,
     h0 = 1.0 / max(np.max(np.abs(lam)), 1.0 / t_a)
     e_step, q_step = _van_loan_step(a.matrix_scaled, d.matrix_scaled, h0)
     for _ in range(200):
-        if np.linalg.norm(e_step) <= rel_settle:
+        if np.linalg.norm(e_step) <= 1e-9:  # exp(A t) has decayed: settled
             break
         q_step = e_step @ q_step @ e_step.T + q_step
         q_step = 0.5 * (q_step + q_step.T)

@@ -8,13 +8,10 @@ sigma = I/2) the QFI is the exact result
 mu = 1/(2 sqrt det sigma) the purity (Pinel et al., PRA 88, 040102(R)
 (2013); Safranek, J. Phys. A 52, 035304 (2019)).  For a thermal family it
 is the operator value nu'^2 / (nu^2 - 1/4).  The printed compact expression
-
-    H = (1/2) Tr[(d(sigma^-1) sigma)^2] - (1/8) det[d(sigma^-1)]
-
-is its large-purity truncation, kept as ``qfi_gaussian_printed`` together
-with its long form in the SLD coefficients Phi = -(1/2) d(sigma^-1),
-nu = Tr[Phi sigma]; the pipeline does not use it.  The homodyne CFI at
-local-oscillator phase theta and detector efficiency eta is
+1/2 Tr[(d(sigma^-1) sigma)^2] - 1/8 det[d(sigma^-1)] is its large-purity
+truncation; it is kept, with its long form in the SLD coefficients, as a
+reference in tests/test_fisher.py.  The homodyne CFI at local-oscillator
+phase theta and detector efficiency eta is
 
     F = 2 (eta R^T dsigma R / (1 - eta + 2 eta R^T sigma R))^2,
 
@@ -37,15 +34,11 @@ from .errors import DerivativeUndefinedError, DomainError, UnphysicalStateError
 from .errors import AmbiguousBranchError
 
 __all__ = [
-    "SldCoefficients",
     "FisherReport",
     "ThetaMaxResult",
     "fd_step",
     "dsigma_dg",
-    "sld_coefficients",
     "qfi_gaussian",
-    "qfi_gaussian_printed",
-    "qfi_gaussian_long_form",
     "cfi_bhd",
     "cfi_ideal",
     "theta_max",
@@ -56,14 +49,6 @@ FD_STEP_FLOOR = 2.0 * math.pi * 1e-3  # rad/s, ~1 mHz in g/2pi terms
 # round-off margin on 4 det(sigma) - 1, shared with oracle.gaussian_to_fock:
 # below -margin the state is unphysical, within it the state is pure
 PURITY_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
-class SldCoefficients:
-    """Quadratic-form coefficients of the symmetric logarithmic derivative."""
-
-    phi: np.ndarray  # 2x2 symmetric
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -106,7 +91,7 @@ def fd_step(g: float, h: float | None = None) -> float:
 
 
 def dsigma_dg(pipeline: Callable[[float], np.ndarray], g: float,
-              method: str = "finite-difference", h: float | None = None) -> np.ndarray:
+              h: float | None = None) -> np.ndarray:
     """Derivative of a matrix-valued pipeline with respect to the coupling.
 
     ``pipeline`` maps g (frequency-convention coupling, rad/s) to a
@@ -115,9 +100,6 @@ def dsigma_dg(pipeline: Callable[[float], np.ndarray], g: float,
     implicit derivative-Lyapunov route needs the cavity state and lives
     in ``pipeline.cavity_dsigma_opt``.
     """
-    if method != "finite-difference":
-        raise DomainError(f"unknown derivative method {method!r}")
-
     h0 = fd_step(g, h)
     try:
         coarse = (pipeline(g + h0) - pipeline(g - h0)) / (2.0 * h0)
@@ -126,16 +108,6 @@ def dsigma_dg(pipeline: Callable[[float], np.ndarray], g: float,
         raise DerivativeUndefinedError(
             f"derivative undefined near a bistability branch boundary at g={g}") from exc
     return (4.0 * fine - coarse) / 3.0
-
-
-def sld_coefficients(sigma: np.ndarray, dsigma: np.ndarray) -> SldCoefficients:
-    """Phi = -(1/2) d(sigma^-1) and nu = Tr[Phi sigma], the coefficients of
-    the printed large-purity QFI expression (see ``qfi_gaussian_printed``)."""
-    si = _sigma_inv(sigma)
-    dinv = -si @ np.asarray(dsigma, dtype=float) @ si
-    phi = -0.5 * dinv
-    nu = float(np.trace(phi @ sigma))
-    return SldCoefficients(phi=phi, nu=nu)
 
 
 def qfi_gaussian(sigma: np.ndarray, dsigma: np.ndarray) -> float:
@@ -165,32 +137,6 @@ def qfi_gaussian(sigma: np.ndarray, dsigma: np.ndarray) -> float:
         dmu2 = mu2 * (0.5 * t / d) ** 2
         h += 2.0 * dmu2 / (1.0 - mu2 * mu2)
     return float(h)
-
-
-def qfi_gaussian_printed(sigma: np.ndarray, dsigma: np.ndarray) -> float:
-    """Printed compact expression 1/2 Tr[(d(s^-1) s)^2] - 1/8 det[d(s^-1)].
-
-    The large-purity truncation of ``qfi_gaussian``: for a thermal family
-    it gives (nu'/nu)^2 (1 - 1/(8 nu^2)) against the exact
-    nu'^2 / (nu^2 - 1/4).  Not used by the pipeline.
-    """
-    si = _sigma_inv(sigma)
-    dinv = -si @ np.asarray(dsigma, dtype=float) @ si
-    k = dinv @ np.asarray(sigma, dtype=float)
-    return float(0.5 * np.trace(k @ k) - 0.125 * np.linalg.det(dinv))
-
-
-def qfi_gaussian_long_form(sigma: np.ndarray, dsigma: np.ndarray) -> float:
-    """Long form 3Tr[(Phi s)^2] - 2 nu Tr[Phi s] + 2 det s det Phi
-    - det(Phi)/2 + nu^2 of the printed expression; equals
-    ``qfi_gaussian_printed`` identically."""
-    co = sld_coefficients(sigma, dsigma)
-    ps = co.phi @ np.asarray(sigma, dtype=float)
-    det_phi = float(np.linalg.det(co.phi))
-    det_sig = float(np.linalg.det(np.asarray(sigma, dtype=float)))
-    tr_ps = float(np.trace(ps))
-    return float(3.0 * np.trace(ps @ ps) - 2.0 * co.nu * tr_ps
-                 + 2.0 * det_sig * det_phi - 0.5 * det_phi + co.nu ** 2)
 
 
 def _quadrature_forms(sigma, dsigma, theta):

@@ -27,11 +27,13 @@ __all__ = [
     "spectral_density",
     "trigamma",
     "kernel_dr",
-    "kernel_di",
     "kernel_dr_numeric",
     "kernel_di_numeric",
     "dr_closed_array",
 ]
+
+# error budget of the kernel quadrature, relative to int J coth dw
+_QUAD_TOL = 1e-9
 
 # Bernoulli numbers B_2..B_20 for the asymptotic tail of trigamma.
 _BERNOULLI = (
@@ -134,14 +136,11 @@ def _closed_pair(bath: BathSpec, tau):
 
 def kernel_dr(bath: BathSpec, tau: float) -> KernelValue:
     """Closed-form symmetric kernel D_R(tau) and antisymmetric kernel
-    D_I(tau); ``kernel_di`` is the same function."""
+    D_I(tau)."""
     if not math.isfinite(tau):
         raise DomainError("tau must be finite")
     d_r, d_i = _closed_pair(bath, np.array([tau]))
     return KernelValue(tau=tau, d_r=float(d_r[0]), d_i=float(d_i[0]))
-
-
-kernel_di = kernel_dr
 
 
 def dr_closed_array(bath: BathSpec, tau: np.ndarray) -> np.ndarray:
@@ -163,34 +162,35 @@ def _cutoff_upper(bath: BathSpec, tol_abs: float) -> float:
     return upper
 
 
-def _kernel_quad(bath: BathSpec, tau: float, tol: float, kind: str) -> KernelValue:
+def _w_coth(w: float, temperature: float) -> float:
+    """w coth(hbar w / (2 kB T)), the thermal weight of the symmetric
+    kernel; w at T = 0, and its small-x series where the coth form loses
+    accuracy."""
+    if temperature == 0.0:
+        return w
+    x = HBAR * w / (2.0 * KB * temperature)
+    if x < 1e-4:
+        # w * coth(x) -> (2 kB T / hbar)(1 + x^2/3 - x^4/45)
+        return (2.0 * KB * temperature / HBAR) * (1.0 + x * x / 3.0 - x ** 4 / 45.0)
+    return w / math.tanh(x)
+
+
+def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> KernelValue:
     """Adaptive quadrature of a defining integral (QAWO oscillatory weight).
 
-    ``tol`` is relative to the non-oscillatory envelope int J coth dw;
-    the returned ``abs_error_estimate`` is absolute.
+    The error budget is _QUAD_TOL relative to the non-oscillatory envelope
+    int J coth dw; the returned ``abs_error_estimate`` is absolute.
     """
     from scipy.integrate import quad  # a large import that only the oracles need
 
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     if not math.isfinite(tau):
         raise DomainError("tau must be finite")
     m, g, T, W = bath.mass, bath.gamma, bath.temperature, bath.cutoff
     pref = 2.0 * m * g / math.pi
 
     if kind == "dr":
-        if T == 0.0:
-            def f(w):
-                return pref * w * math.exp(-w / W)
-        else:
-            def f(w):
-                x = HBAR * w / (2.0 * KB * T)
-                if x < 1e-4:
-                    # w * coth(x) -> (2 kB T / hbar)(1 + x^2/3 - x^4/45)
-                    core = (2.0 * KB * T / HBAR) * (1.0 + x * x / 3.0 - x ** 4 / 45.0)
-                else:
-                    core = w / math.tanh(x)
-                return pref * core * math.exp(-w / W)
+        def f(w):
+            return pref * _w_coth(w, T) * math.exp(-w / W)
         weight = "cos"
     else:
         def f(w):
@@ -199,7 +199,7 @@ def _kernel_quad(bath: BathSpec, tau: float, tol: float, kind: str) -> KernelVal
 
     scale, _ = quad(f, 0.0, 20.0 * W, limit=200)
     scale = abs(scale) + 1e-300
-    tol_abs = tol * scale
+    tol_abs = _QUAD_TOL * scale
     upper = _cutoff_upper(bath, 0.25 * tol_abs)
 
     abs_tau = abs(tau)
@@ -226,11 +226,11 @@ def _kernel_quad(bath: BathSpec, tau: float, tol: float, kind: str) -> KernelVal
                        abs_error_estimate=err)
 
 
-def kernel_dr_numeric(bath: BathSpec, tau: float, tol: float = 1e-9) -> KernelValue:
+def kernel_dr_numeric(bath: BathSpec, tau: float) -> KernelValue:
     """D_R(tau) by adaptive quadrature of the defining integral."""
-    return _kernel_quad(bath, tau, tol, "dr")
+    return _kernel_quad(bath, tau, "dr")
 
 
-def kernel_di_numeric(bath: BathSpec, tau: float, tol: float = 1e-9) -> KernelValue:
+def kernel_di_numeric(bath: BathSpec, tau: float) -> KernelValue:
     """D_I(tau) by adaptive quadrature of the defining integral."""
-    return _kernel_quad(bath, tau, tol, "di")
+    return _kernel_quad(bath, tau, "di")

@@ -33,7 +33,6 @@ from .errors import DomainError
 __all__ = [
     "MeasurementSpec",
     "OutputCovariance2",
-    "rotation",
     "cavity_output_map",
     "output_map",
     "output_covariance",
@@ -69,12 +68,6 @@ class OutputCovariance2:
     matrix: np.ndarray
 
 
-def rotation(angle: float) -> np.ndarray:
-    """G(t)-type rotation matrix [[cos, sin], [-sin, cos]]."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, s], [-s, c]])
-
-
 def cavity_output_map(spec: MeasurementSpec) -> np.ndarray:
     """G = int_0^tau G(t') dt' = [[c, s], [-s, c]] with c = sin(W tau)/W and
     s = 2 sin^2(W tau/2)/W, the form of (1 - cos W tau)/W that keeps its
@@ -88,27 +81,22 @@ def cavity_output_map(spec: MeasurementSpec) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def output_map(block: np.ndarray, spec: MeasurementSpec,
-               g_int: np.ndarray | None = None) -> np.ndarray:
+def output_map(block: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
     """(kappa_meas/tau) G block G^T: the cavity term of the output
     covariance for block = sigma_opt, and d sigma_out/dg for
-    block = d sigma_opt/dg.  ``g_int`` passes a G already built for
-    ``spec``."""
-    if g_int is None:
-        g_int = cavity_output_map(spec)
+    block = d sigma_opt/dg."""
+    g_int = cavity_output_map(spec)
     return (spec.kappa_meas / spec.window) * g_int @ np.asarray(block, dtype=float) @ g_int.T
 
 
 def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec,
-                      vacuum: str = "identity",
-                      g_int: np.ndarray | None = None) -> OutputCovariance2:
+                      vacuum: str = "identity") -> OutputCovariance2:
     """Output covariance (kappa_meas/tau) G sigma_opt G^T + vac I.
 
     At Omega_k = 0 this is kappa tau sigma_opt + I, evaluated in that form
     so the identity holds exactly.  ``vacuum`` selects the additive term:
     "identity" (input-output result, vac = 1) or "printed_sinc" (literal
-    closed form, vac = sinc(2 Omega_k tau)).  ``g_int`` as in
-    ``output_map``.
+    closed form, vac = sinc(2 Omega_k tau)).
     """
     if vacuum not in ("identity", "printed_sinc"):
         raise DomainError(f"unknown vacuum convention {vacuum!r}")
@@ -117,13 +105,12 @@ def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec,
     if phase == 0.0:
         cav, vac = spec.kappa_meas * spec.window * sigma_opt, 1.0
     else:
-        cav = output_map(sigma_opt, spec, g_int)
+        cav = output_map(sigma_opt, spec)
         vac = math.sin(2.0 * phase) / (2.0 * phase) if vacuum == "printed_sinc" else 1.0
     return OutputCovariance2(matrix=0.5 * (cav + cav.T) + vac * np.eye(2))
 
 
 def output_covariance_numeric(sigma_opt: np.ndarray, spec: MeasurementSpec,
-                              tol: float = 1e-10, nodes: int = None,
                               vacuum: str = "identity") -> OutputCovariance2:
     """Oracle: direct quadrature of the double-integral output covariance,
 
@@ -132,16 +119,15 @@ def output_covariance_numeric(sigma_opt: np.ndarray, spec: MeasurementSpec,
     under the stationary-sigma approximation.  The vacuum term is
     (1/tau) int G(t') G(t')^T dt' for "identity", or the symmetrized
     (1/tau) int G(2 t') dt' that underlies the printed_sinc variant.
-    Gauss-Legendre order is chosen from the phase range so the quadrature
-    error sits far below ``tol``.
+    The Gauss-Legendre order is chosen from the phase range: 24 nodes plus
+    three per radian.
     """
     if vacuum not in ("identity", "printed_sinc"):
         raise DomainError(f"unknown vacuum convention {vacuum!r}")
     sigma_opt = np.asarray(sigma_opt, dtype=float)
     tau = spec.window
     phase = abs(spec.omega_k) * tau
-    if nodes is None:
-        nodes = max(24, int(3.0 * phase) + 24)
+    nodes = int(3.0 * phase) + 24
     x, w = leggauss(nodes)
     t = 0.5 * tau * (x + 1.0)
     wt = 0.5 * tau * w

@@ -22,7 +22,8 @@ from .dynamics import (CovarianceMatrix4, DiffusionMatrix, DriftMatrix,
                        lyapunov_solve, stationary_covariance, _E1)
 from .errors import DomainError, UnstableDriftError
 from .fisher import FisherReport, cfi_bhd, cfi_ideal, qfi_gaussian, theta_max
-from .output import MeasurementSpec, cavity_output_map, output_covariance, output_map
+from .output import MeasurementSpec, output_covariance, output_map
+from .output import cavity_output_map  # re-exported: perfbench/checks.py imports it here
 from .params import SteadyState, SystemParams, steady_state
 
 __all__ = [
@@ -129,18 +130,20 @@ def cavity_dsigma_opt(params: SystemParams,
     if settings.derivative_method == "derivative-lyapunov":
         return _cavity_derivative_lyapunov(
             params, settings, cavity or cavity_covariance(params, settings))
+    if settings.derivative_method != "finite-difference":
+        raise DomainError(f"unknown derivative method {settings.derivative_method!r}")
     return _fisher.dsigma_dg(lambda g: _sigma_opt(params, settings, g), params.g_freq,
-                             method=settings.derivative_method, h=settings.fd_step)
+                             h=settings.fd_step)
 
 
 def _steady_derivatives(params: SystemParams, ss: SteadyState):
-    """(d|alpha|^2/dg, d alpha/dg, d delta/dg) by implicit differentiation
-    of the photon-number cubic, g in the frequency convention."""
+    """(d alpha/dg, d delta/dg) by implicit differentiation of the
+    photon-number cubic, g in the frequency convention."""
     g = params.g_freq
     b = 2.0 * g * g / params.omega_m  # per-photon detuning shift
     a_n = ss.alpha_abs2
     if g == 0.0 or a_n == 0.0:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     db = 2.0 * b / g
     c_lor = params.delta0 ** 2 + params.kappa ** 2 / 4.0
     f_a = 3.0 * b * b * a_n * a_n - 4.0 * params.delta0 * b * a_n + c_lor
@@ -148,7 +151,7 @@ def _steady_derivatives(params: SystemParams, ss: SteadyState):
     da_n = -f_b * db / f_a
     ddelta = -(db * a_n + b * da_n)
     dalpha = da_n / (2.0 * ss.alpha)
-    return da_n, dalpha, ddelta
+    return dalpha, ddelta
 
 
 def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings,
@@ -168,7 +171,7 @@ def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings
         raise UnstableDriftError("derivative Lyapunov solve requires a Hurwitz drift")
 
     g = params.g_freq
-    _, dalpha, ddelta = _steady_derivatives(params, ss)
+    dalpha, ddelta = _steady_derivatives(params, ss)
     da = np.zeros((4, 4))
     da[1, 2] = 2.0 * _SQRT2 * (ss.alpha + g * dalpha)
     da[3, 0] = _SQRT2 * (ss.alpha + g * dalpha)
@@ -210,10 +213,9 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
     if dsigma_opt is None:
         dsigma_opt = cavity_dsigma_opt(params, settings, cavity)
 
-    g_int = cavity_output_map(spec)
     sigma_out = output_covariance(cavity.covariance.optical_block, spec,
-                                  vacuum=settings.vacuum_mode, g_int=g_int).matrix
-    dsigma_out = output_map(dsigma_opt, spec, g_int)
+                                  vacuum=settings.vacuum_mode).matrix
+    dsigma_out = output_map(dsigma_opt, spec)
 
     tm = theta_max(sigma_out, dsigma_out, eta=spec.eta)
     theta = tm.theta if auto_theta else spec.theta

@@ -162,12 +162,27 @@ def render_csv(metadata: dict, rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(x):
+    """``x`` with every non-finite float, at any depth of dicts and lists,
+    as None: JSON has no NaN or infinity."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite_or_null(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def render_json(metadata: dict, rows: list[SweepRow]) -> str:
+    """Strict JSON: a non-finite float (saturation_ratio where the QFI is 0)
+    is written as null."""
     payload = {
         "metadata": metadata,
         "rows": [{f: getattr(r, f) for f in ROW_FIELDS} for r in rows],
     }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
 
 
 def write_rows(path: str, metadata: dict, rows: list[SweepRow], fmt: str) -> None:

@@ -20,10 +20,9 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import OmfisherError
-from .fisher import cfi_bhd, cfi_ideal, qfi_gaussian, theta_max
-from .kernels import BathSpec, kernel_di, kernel_di_numeric, kernel_dr, kernel_dr_numeric
-from .dynamics import (brownian_diffusion_freq, diffusion_matrix, drift_matrix,
-                       stationary_covariance, transient_covariance)
+from .fisher import cfi_bhd, cfi_ideal, fd_step, qfi_gaussian, theta_max
+from .kernels import BathSpec, kernel_di_numeric, kernel_dr, kernel_dr_numeric
+from .dynamics import brownian_diffusion_freq, drift_matrix, transient_covariance
 from .oracle import cfi_numeric, qfi_fock_converged
 from .output import MeasurementSpec, homodyne_variance, output_covariance, \
     output_covariance_numeric, output_map
@@ -60,13 +59,13 @@ def _suite_kernels(tol: float) -> list[CheckResult]:
                         cutoff=base.cutoff)
         for x in (0.01, 0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 100.0):
             tau = x / bath.cutoff
-            dr_c = kernel_dr(bath, tau).d_r
-            dr_n = kernel_dr_numeric(bath, tau, tol=1e-9).d_r
+            closed = kernel_dr(bath, tau)
+            dr_c, di_c = closed.d_r, closed.d_i
+            dr_n = kernel_dr_numeric(bath, tau).d_r
             rel = abs(dr_c - dr_n) / max(abs(dr_n), 1e-300)
             if rel > worst:
                 worst, worst_at = rel, f"D_R at tau*W={x}, T={temp}"
-            di_c = kernel_di(bath, tau).d_i
-            di_n = kernel_di_numeric(bath, tau, tol=1e-9).d_i
+            di_n = kernel_di_numeric(bath, tau).d_i
             scale = max(abs(di_n), abs(dr_n) * 1e-6)
             rel = abs(di_c - di_n) / max(scale, 1e-300)
             if rel > worst:
@@ -95,21 +94,18 @@ def _random_stable_points(n: int, rng: np.random.Generator):
         except OmfisherError:
             continue
         if ss.branch_count == 1 and drift_matrix(p, ss).stable:
-            points.append((p, ss))
+            points.append(p)
     return points
 
 
 def _suite_lyapunov(tol: float) -> list[CheckResult]:
     rng = np.random.default_rng(20240811)
-    points = [(rossi_params(), None)] + _random_stable_points(50, rng)
+    points = [rossi_params()] + _random_stable_points(50, rng)
     worst = 0.0
     elapsed = 0.0
-    for p, ss in points:
+    for p in points:
         t0 = time.perf_counter()
-        ss = ss or steady_state(p)
-        a = drift_matrix(p, ss)
-        d = diffusion_matrix(p, a)
-        cov = stationary_covariance(a, d)
+        cov = cavity_covariance(p, _SETTINGS).covariance
         elapsed += time.perf_counter() - t0
         worst = max(worst, cov.residual)
     per_point = elapsed / len(points)
@@ -151,13 +147,10 @@ def _suite_transient(tol: float) -> list[CheckResult]:
     worst = 0.0
     t0 = time.perf_counter()
     for p in _transient_points():
-        ss = steady_state(p)
-        a = drift_matrix(p, ss)
-        d = diffusion_matrix(p, a)
-        cov = stationary_covariance(a, d)
-        tc = transient_covariance(p, a, d)
-        rel = np.linalg.norm(tc.matrix_scaled - cov.matrix_scaled) / \
-            np.linalg.norm(cov.matrix_scaled)
+        cav = cavity_covariance(p, _SETTINGS)
+        ref = cav.covariance.matrix_scaled
+        tc = transient_covariance(p, cav.drift, cav.diffusion)
+        rel = np.linalg.norm(tc.matrix_scaled - ref) / np.linalg.norm(ref)
         worst = max(worst, float(rel))
     elapsed = time.perf_counter() - t0
     return [
@@ -194,7 +187,7 @@ def _suite_output(tol: float) -> list[CheckResult]:
 def _rossi_output_state():
     p = rossi_params()
     cav = cavity_covariance(p, _SETTINGS)
-    dso = cavity_dsigma_opt(p, _SETTINGS)
+    dso = cavity_dsigma_opt(p, _SETTINGS, cav)
     spec = build_measurement(p, omega_k=0.0, settings=_SETTINGS)
     sig = output_covariance(cav.covariance.optical_block, spec).matrix
     dsig = output_map(dso, spec)
@@ -235,8 +228,7 @@ def _suite_qfi(tol: float) -> list[CheckResult]:
     # baseline output state: the full pipeline family
     p, spec, sig, dsig = _rossi_output_state()
     pipe = OutputPipeline(p, spec, _SETTINGS)
-    h = max(1e-6 * p.g_freq, TWO_PI * 1e-3)
-    fock, drift = qfi_fock_converged(pipe, p.g_freq, h=h)
+    fock, drift = qfi_fock_converged(pipe, p.g_freq, h=fd_step(p.g_freq))
     formula = qfi_gaussian(sig, dsig)
     rel = abs(formula - fock) / abs(fock)
     results.append(CheckResult(

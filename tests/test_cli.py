@@ -144,6 +144,36 @@ class TestConfig:
         assert params.delta0 == pytest.approx(-2.0 * params.kappa, rel=1e-12)
         assert meas["window"] == pytest.approx(1.0 / params.kappa, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["eta 0.08..1.0"] + sorted(PRESETS))
+    def test_grid_ends_exactly_at_start_and_stop(self, name):
+        """The ends are start and stop themselves, so a grid that ends on a
+        domain edge (eta = 1) stays inside it; the interior points are the
+        evenly spaced values (in the logarithm for log grids)."""
+        spec = SweepSpec("eta", "linear", 0.08, 1.0, 4) if name not in PRESETS \
+            else apply_preset(load_config(None), name).sweep
+        grid = spec.grid()
+        assert len(grid) == spec.points
+        assert grid[0] == spec.start and grid[-1] == spec.stop
+        n = spec.points - 1
+        if spec.scale == "linear":
+            step = (spec.stop - spec.start) / n
+            inner = [spec.start + i * step for i in range(1, n)]
+        else:
+            la, lb = math.log(spec.start), math.log(spec.stop)
+            inner = [math.exp(la + i * (lb - la) / n) for i in range(1, n)]
+        assert grid[1:-1] == inner
+
+    def test_sections_parse_in_a_fixed_order(self, tmp_path):
+        """omega_k_in_kappa reads the [system] kappa wherever [system]
+        stands in the file."""
+        system = "[system]\nkappa_over_2pi_hz = 37e6\n"
+        measurement = "[measurement]\nomega_k_in_kappa = 1\n"
+        for i, text in enumerate((system + measurement, measurement + system)):
+            path = tmp_path / f"order{i}.cfg"
+            path.write_text(text)
+            _, meas = load_config(str(path)).materialize()
+            assert meas["omega_k"] == TWO_PI * 37e6
+
     def test_log_grid_validation(self):
         with pytest.raises(ConfigError):
             SweepSpec("power", "log", -1.0, 1.0, 5).grid()
@@ -230,6 +260,32 @@ class TestCli:
         assert len(payload["rows"]) == 5
         assert set(payload["rows"][0]) == set(ROW_FIELDS)
 
+    def test_json_is_strict_where_qfi_vanishes(self, tmp_path):
+        """fig4d starts at g = 0, where the QFI is 0 and saturation_ratio is
+        undefined: the JSON file writes null there and parses without the
+        NaN/Infinity extension."""
+        out = tmp_path / "fig4d.json"
+        assert main(["sweep", "--preset", "fig4d", "--out", str(out),
+                     "--format", "json"]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        first = payload["rows"][0]
+        assert first["value"] == 0.0 and first["qfi"] == 0.0
+        assert first["saturation_ratio"] is None
+        assert all(r["saturation_ratio"] is not None for r in payload["rows"][1:])
+
+    def test_eta_grid_ending_at_one_runs(self, tmp_path):
+        """A linear eta grid that ends at 1.0 evaluates its last point at
+        eta = 1 exactly, not just past the domain."""
+        cfg = tmp_path / "eta.cfg"
+        cfg.write_text("[sweep]\nvariable = eta\nstart = 0.08\nstop = 1.0\npoints = 4\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().strip().split("\n")[-1].startswith("1,")
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[system]\nmass_kg = -1\n")
@@ -253,6 +309,19 @@ class TestCli:
         pytest.param("sweep", "variable = g\nstart = 0\nstop = 1\npoints = many",
                      "points", id="points = many"),
         pytest.param("tolerances", "fd_step = small", "fd_step", id="fd_step = small"),
+        pytest.param("system", "gamma = 816.8\ngamma_over_2pi_hz = 130",
+                     "gamma and gamma_over_2pi_hz", id="gamma twice"),
+        pytest.param("system", "kappa_over_2pi_hz = 20e6\nkappa_in_over_2pi_hz = 5e6",
+                     "kappa_over_2pi_hz and kappa_in_over_2pi_hz",
+                     id="kappa with kappa_in"),
+        pytest.param("system", "kappa = 1.2e8\nkappa_loss_over_2pi_hz = 5e6",
+                     "kappa and kappa_loss_over_2pi_hz", id="kappa with kappa_loss"),
+        pytest.param("system", "omega_laser_over_2pi_hz = 1.9e14\n"
+                     "laser_wavelength_m = 1550e-9",
+                     "omega_laser_over_2pi_hz and laser_wavelength_m",
+                     id="laser frequency twice"),
+        pytest.param("measurement", "omega_k = 0\nomega_k_in_kappa = 1",
+                     "omega_k and omega_k_in_kappa", id="omega_k twice"),
     ])
     def test_unknown_switch_value_exit_code(self, tmp_path, capsys, section, line, key):
         """A malformed or out-of-range value exits 2 at load time, before any

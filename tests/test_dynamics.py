@@ -4,17 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from omfisher.constants import HBAR, TWO_PI
-from omfisher.errors import (DegenerateLyapunovError, DomainError,
-                             QuadratureError, UnstableDriftError)
+from omfisher.errors import (DegenerateLyapunovError, QuadratureError,
+                             UnstableDriftError)
 from omfisher.dynamics import (DriftMatrix, brownian_diffusion_freq,
                                brownian_laplace, diffusion_matrix, drift_matrix,
-                               lyapunov_solve, matrix_exponential,
-                               stationary_covariance, transient_covariance,
-                               _matsubara_terms)
+                               lyapunov_solve, stationary_covariance,
+                               transient_covariance, _matsubara_terms)
 from omfisher.params import rossi_params, steady_state
 
 
@@ -55,33 +52,6 @@ class TestDriftMatrix:
         s = a.scale
         rebuilt = (a.matrix_scaled * s[:, None]) / s[None, :]  # S A_sc S^-1
         assert np.max(np.abs(rebuilt - a.matrix)) <= 1e-12 * np.max(np.abs(a.matrix))
-
-
-class TestMatrixExponential:
-    def test_zero(self):
-        assert np.array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
-
-    def test_diagonal(self):
-        d = np.diag([0.3, -1.2, 2.0, -0.1])
-        assert np.allclose(matrix_exponential(d), np.diag(np.exp(np.diag(d))),
-                           rtol=1e-14)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_inverse_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(4, 4))
-        rho = max(abs(np.linalg.eigvals(m)))
-        if rho > 2.0:
-            m *= 2.0 / rho
-        prod = matrix_exponential(m) @ matrix_exponential(-m)
-        assert np.max(np.abs(prod - np.eye(4))) < 1e-10
-
-    def test_non_finite(self):
-        bad = np.zeros((4, 4))
-        bad[0, 0] = np.inf
-        with pytest.raises(DomainError):
-            matrix_exponential(bad)
 
 
 class TestDiffusionMatrix:

@@ -1,6 +1,7 @@
 """QFI/CFI formula tests and optimal-quadrature search."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,10 +10,60 @@ from hypothesis import strategies as st
 
 from omfisher.errors import (DerivativeUndefinedError, DomainError,
                              UnphysicalStateError)
-from omfisher.fisher import (cfi_bhd, cfi_ideal, dsigma_dg, qfi_gaussian,
-                             qfi_gaussian_long_form, qfi_gaussian_printed,
-                             sld_coefficients, theta_max)
+from omfisher.fisher import (_sigma_inv, cfi_bhd, cfi_ideal, dsigma_dg,
+                             qfi_gaussian, theta_max)
 from omfisher.oracle import qfi_fock_converged
+from omfisher.params import rossi_params
+from omfisher.pipeline import PipelineSettings, cavity_dsigma_opt
+
+
+# The printed compact QFI expression and its long form: a reference for the
+# large-purity truncation that README discusses; the pipeline uses
+# qfi_gaussian.
+
+@dataclass(frozen=True)
+class SldCoefficients:
+    """Quadratic-form coefficients of the symmetric logarithmic derivative."""
+
+    phi: np.ndarray  # 2x2 symmetric
+    nu: float
+
+
+def sld_coefficients(sigma, dsigma) -> SldCoefficients:
+    """Phi = -(1/2) d(sigma^-1) and nu = Tr[Phi sigma], the coefficients of
+    the printed large-purity QFI expression (see ``qfi_gaussian_printed``)."""
+    si = _sigma_inv(sigma)
+    dinv = -si @ np.asarray(dsigma, dtype=float) @ si
+    phi = -0.5 * dinv
+    nu = float(np.trace(phi @ sigma))
+    return SldCoefficients(phi=phi, nu=nu)
+
+
+def qfi_gaussian_printed(sigma, dsigma) -> float:
+    """Printed compact expression 1/2 Tr[(d(s^-1) s)^2] - 1/8 det[d(s^-1)].
+
+    The large-purity truncation of ``qfi_gaussian``: for a thermal family
+    it gives (nu'/nu)^2 (1 - 1/(8 nu^2)) against the exact
+    nu'^2 / (nu^2 - 1/4).
+    """
+    si = _sigma_inv(sigma)
+    dinv = -si @ np.asarray(dsigma, dtype=float) @ si
+    k = dinv @ np.asarray(sigma, dtype=float)
+    return float(0.5 * np.trace(k @ k) - 0.125 * np.linalg.det(dinv))
+
+
+def qfi_gaussian_long_form(sigma, dsigma) -> float:
+    """Long form 3Tr[(Phi s)^2] - 2 nu Tr[Phi s] + 2 det s det Phi
+    - det(Phi)/2 + nu^2 of the printed expression; equals
+    ``qfi_gaussian_printed`` identically."""
+    co = sld_coefficients(sigma, dsigma)
+    ps = co.phi @ np.asarray(sigma, dtype=float)
+    det_phi = float(np.linalg.det(co.phi))
+    det_sig = float(np.linalg.det(np.asarray(sigma, dtype=float)))
+    tr_ps = float(np.trace(ps))
+    return float(3.0 * np.trace(ps @ ps) - 2.0 * co.nu * tr_ps
+                 + 2.0 * det_sig * det_phi - 0.5 * det_phi + co.nu ** 2)
+
 
 pd_sigma = st.builds(
     lambda a, b, c: np.array([[0.55 + a, c * math.sqrt((0.55 + a) * (0.55 + b))],
@@ -244,5 +295,6 @@ class TestDsigmaDg:
             dsigma_dg(pipeline, 1.0)
 
     def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            dsigma_dg(lambda g: np.eye(2), 1.0, method="spectral")
+        settings = PipelineSettings(derivative_method="spectral")
+        with pytest.raises(DomainError, match="unknown derivative method 'spectral'"):
+            cavity_dsigma_opt(rossi_params(), settings)

@@ -13,8 +13,14 @@ from omfisher.errors import DomainError
 from omfisher.fisher import qfi_gaussian
 from omfisher.output import (MeasurementSpec, cavity_output_map, homodyne_pdf,
                              homodyne_variance, output_covariance,
-                             output_covariance_numeric, output_map, rotation)
+                             output_covariance_numeric, output_map)
 from omfisher.params import rossi_params
+
+
+def rotation(angle: float) -> np.ndarray:
+    """G(t)-type rotation matrix [[cos, sin], [-sin, cos]]."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, s], [-s, c]])
 
 
 def spec_at(omega_k=0.0, window=1.0, kappa=1.0, eta=1.0, theta=0.0):
