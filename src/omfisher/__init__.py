@@ -10,8 +10,7 @@ from .dynamics import (DriftMatrix, DiffusionMatrix, CovarianceMatrix4,
                        transient_covariance)
 from .output import (MeasurementSpec, OutputCovariance2, output_covariance,
                      output_covariance_numeric, homodyne_pdf)
-from .fisher import (FisherReport, dsigma_dg, qfi_gaussian, cfi_bhd, cfi_ideal,
-                     theta_max)
+from .fisher import FisherReport, dsigma_dg, qfi_gaussian, cfi_bhd, theta_max
 from .pipeline import PipelineSettings, cavity_covariance, fisher_report
 
 __version__ = "0.1.0"

@@ -81,7 +81,6 @@ class RunConfig:
     preset: str | None = None
 
     pipeline: PipelineSettings = field(default_factory=PipelineSettings)
-    cfi_convention: str = "bhd_limit"      # or printed_ideal
 
     out_path: str = "sweep.csv"
     out_format: str = "csv"
@@ -165,14 +164,17 @@ _FREQ_KEYS = {
 
 
 def _read(section, key: str, get: str = "getfloat"):
-    """``section.<get>(key)``; a missing key or a malformed value is a
-    ConfigError naming the section and the key."""
+    """``section.<get>(key)``; a missing key, a malformed value or a
+    non-finite float is a ConfigError naming the section and the key."""
     if key not in section:
         raise ConfigError(f"[{section.name}] {key} is required")
     try:
-        return getattr(section, get)(key)
+        value = getattr(section, get)(key)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section.name}] {key} = {section[key]!r} must be finite")
+    return value
 
 
 def _one_spelling(section, *keys: str) -> None:
@@ -270,8 +272,6 @@ def _parse_sweep(cfg: RunConfig, section) -> RunConfig:
 
 _SWITCH_CHOICES = {
     "kappa_meas_mode": ("kappa_in", "kappa_total"),
-    "cfi_convention": ("bhd_limit", "printed_ideal"),
-    "vacuum_mode": ("identity", "printed_sinc"),
     "derivative_method": ("finite-difference", "derivative-lyapunov"),
     "branch": ("lower", "upper", ""),  # empty: no branch policy
 }
@@ -293,9 +293,7 @@ def _parse_switches(cfg: RunConfig, section) -> RunConfig:
     if "epsilon_uses_total_kappa" in section:
         updates["epsilon_uses_total_kappa"] = _read(section, "epsilon_uses_total_kappa",
                                                     "getboolean")
-    cfi_convention = updates.pop("cfi_convention", cfg.cfi_convention)
-    return replace(cfg, pipeline=replace(cfg.pipeline, **updates),
-                   cfi_convention=cfi_convention)
+    return replace(cfg, pipeline=replace(cfg.pipeline, **updates))
 
 
 def _parse_tolerances(cfg: RunConfig, section) -> RunConfig:

@@ -16,9 +16,10 @@ phase theta and detector efficiency eta is
     F = 2 (eta R^T dsigma R / (1 - eta + 2 eta R^T sigma R))^2,
 
 which is exactly the Fisher information of the normalized outcome
-distribution; its eta -> 1 limit is half the alternative normalization
-(R^T dsigma R / R^T sigma R)^2 kept as cfi_ideal, and the numeric-FI
-oracle singles out the former as correct.  Both are reported.
+distribution, as the numeric-FI oracle confirms.  Its eta -> 1 limit is
+half the printed ideal-detector form (R^T dsigma R / R^T sigma R)^2, which
+validate's factor-2 adjudication and tests/test_fisher.py keep as a
+reference.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "dsigma_dg",
     "qfi_gaussian",
     "cfi_bhd",
-    "cfi_ideal",
     "theta_max",
 ]
 
@@ -64,7 +64,6 @@ class FisherReport:
 
     qfi: float
     cfi: float
-    cfi_printed_ideal: float  # alternative eta=1 normalization, = 2*cfi at eta=1
     theta: float
     eta: float
     theta_max: float
@@ -139,33 +138,17 @@ def qfi_gaussian(sigma: np.ndarray, dsigma: np.ndarray) -> float:
     return float(h)
 
 
-def _quadrature_forms(sigma, dsigma, theta):
-    r = np.array([math.cos(theta), math.sin(theta)])
-    return float(r @ np.asarray(sigma, dtype=float) @ r), \
-        float(r @ np.asarray(dsigma, dtype=float) @ r)
-
-
 def cfi_bhd(sigma: np.ndarray, dsigma: np.ndarray, theta: float, eta: float) -> float:
     """Homodyne CFI at phase theta, detector efficiency eta."""
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must be in (0, 1]")
-    s_q, d_q = _quadrature_forms(sigma, dsigma, theta)
+    r = np.array([math.cos(theta), math.sin(theta)])
+    s_q = float(r @ np.asarray(sigma, dtype=float) @ r)
+    d_q = float(r @ np.asarray(dsigma, dtype=float) @ r)
     den = 1.0 - eta + 2.0 * eta * s_q
     if den <= 0.0:
         raise DomainError("non-positive homodyne variance")
     return 2.0 * (eta * d_q / den) ** 2
-
-
-def cfi_ideal(sigma: np.ndarray, dsigma: np.ndarray, theta: float) -> float:
-    """Alternative ideal-detector normalization (R^T ds R / R^T s R)^2.
-
-    Identically 2 * cfi_bhd(theta, eta=1); the oracle-validated value is
-    the eta -> 1 limit of cfi_bhd.
-    """
-    s_q, d_q = _quadrature_forms(sigma, dsigma, theta)
-    if s_q <= 0.0:
-        raise DomainError("sigma must be positive definite")
-    return (d_q / s_q) ** 2
 
 
 def theta_max(sigma: np.ndarray, dsigma: np.ndarray, eta: float = 1.0) -> ThetaMaxResult:

@@ -8,16 +8,12 @@ the cavity term of the 2x2 output covariance is the one linear map
     c = sin(W tau)/W,   s = 2 sin^2(W tau/2)/W,
 
 of the optical block (W = Omega_k, k = kappa_meas); being linear it also
-maps d sigma_opt/dg to d sigma_out/dg.  Two conventions for the additive
-vacuum term are supported.  The input-output double integral gives the
-identity (G(t) G(t)^T = 1 pointwise for the rotation kernel), which keeps
+maps d sigma_opt/dg to d sigma_out/dg.  The additive vacuum term is the
+identity, the input-output result (Gardiner & Collett, PRA 31, 3761
+(1985)): G(t) G(t)^T = 1 pointwise for the rotation kernel, which keeps
 the output state physical at all filter frequencies and reproduces the
-reported peak of the QFI at Omega_k = 0; this is the default.  The
-literal closed-form variant sinc(2 W tau) on the diagonal is available as
-vacuum="printed_sinc" (it coincides with the identity at Omega_k = 0 but
-decays away from it, which makes the filtered state spuriously quiet).
-The double-integral evaluation used as an oracle reproduces whichever
-convention is selected by direct quadrature.
+reported peak of the QFI at Omega_k = 0.  The double-integral evaluation
+used as an oracle reproduces it by direct quadrature.
 """
 
 from __future__ import annotations
@@ -89,41 +85,30 @@ def output_map(block: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
     return (spec.kappa_meas / spec.window) * g_int @ np.asarray(block, dtype=float) @ g_int.T
 
 
-def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec,
-                      vacuum: str = "identity") -> OutputCovariance2:
-    """Output covariance (kappa_meas/tau) G sigma_opt G^T + vac I.
+def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec) -> OutputCovariance2:
+    """Output covariance (kappa_meas/tau) G sigma_opt G^T + I.
 
     At Omega_k = 0 this is kappa tau sigma_opt + I, evaluated in that form
-    so the identity holds exactly.  ``vacuum`` selects the additive term:
-    "identity" (input-output result, vac = 1) or "printed_sinc" (literal
-    closed form, vac = sinc(2 Omega_k tau)).
+    so the identity holds exactly.
     """
-    if vacuum not in ("identity", "printed_sinc"):
-        raise DomainError(f"unknown vacuum convention {vacuum!r}")
     sigma_opt = np.asarray(sigma_opt, dtype=float)
-    phase = spec.omega_k * spec.window
-    if phase == 0.0:
-        cav, vac = spec.kappa_meas * spec.window * sigma_opt, 1.0
+    if spec.omega_k * spec.window == 0.0:
+        cav = spec.kappa_meas * spec.window * sigma_opt
     else:
         cav = output_map(sigma_opt, spec)
-        vac = math.sin(2.0 * phase) / (2.0 * phase) if vacuum == "printed_sinc" else 1.0
-    return OutputCovariance2(matrix=0.5 * (cav + cav.T) + vac * np.eye(2))
+    return OutputCovariance2(matrix=0.5 * (cav + cav.T) + np.eye(2))
 
 
-def output_covariance_numeric(sigma_opt: np.ndarray, spec: MeasurementSpec,
-                              vacuum: str = "identity") -> OutputCovariance2:
+def output_covariance_numeric(sigma_opt: np.ndarray,
+                              spec: MeasurementSpec) -> OutputCovariance2:
     """Oracle: direct quadrature of the double-integral output covariance,
 
-        (k/tau) int int G(t') sigma_opt G(s')^T dt' ds'  +  vacuum term,
+        (k/tau) int int G(t') sigma_opt G(s')^T dt' ds'
+            + (1/tau) int G(t') G(t')^T dt',
 
-    under the stationary-sigma approximation.  The vacuum term is
-    (1/tau) int G(t') G(t')^T dt' for "identity", or the symmetrized
-    (1/tau) int G(2 t') dt' that underlies the printed_sinc variant.
-    The Gauss-Legendre order is chosen from the phase range: 24 nodes plus
-    three per radian.
+    under the stationary-sigma approximation.  The Gauss-Legendre order is
+    chosen from the phase range: 24 nodes plus three per radian.
     """
-    if vacuum not in ("identity", "printed_sinc"):
-        raise DomainError(f"unknown vacuum convention {vacuum!r}")
     sigma_opt = np.asarray(sigma_opt, dtype=float)
     tau = spec.window
     phase = abs(spec.omega_k) * tau
@@ -139,16 +124,8 @@ def output_covariance_numeric(sigma_opt: np.ndarray, spec: MeasurementSpec,
     isn = float(np.dot(wt, sin_a))
     g_int = np.array([[ic, isn], [-isn, ic]])
     cavity = (spec.kappa_meas / tau) * g_int @ sigma_opt @ g_int.T
-
-    if vacuum == "identity":
-        # G G^T at the quadrature nodes (identically 1 for the rotation kernel)
-        gg_xx = float(np.dot(wt, cos_a * cos_a + sin_a * sin_a))
-        vac = np.eye(2) * (gg_xx / tau)
-    else:
-        cos2 = float(np.dot(wt, np.cos(2.0 * ang)))
-        sin2 = float(np.dot(wt, np.sin(2.0 * ang)))
-        vac = np.array([[cos2, sin2], [-sin2, cos2]]) / tau
-        vac = 0.5 * (vac + vac.T)
+    # G G^T at the quadrature nodes (identically 1 for the rotation kernel)
+    vac = np.eye(2) * (float(np.dot(wt, cos_a * cos_a + sin_a * sin_a)) / tau)
 
     out = cavity + vac
     return OutputCovariance2(matrix=0.5 * (out + out.T))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .dynamics import (CovarianceMatrix4, DiffusionMatrix, DriftMatrix,
                        brownian_laplace, diffusion_matrix, drift_matrix,
                        lyapunov_solve, stationary_covariance, _E1)
 from .errors import DomainError, UnstableDriftError
-from .fisher import FisherReport, cfi_bhd, cfi_ideal, qfi_gaussian, theta_max
+from .fisher import FisherReport, cfi_bhd, qfi_gaussian, theta_max
 from .output import MeasurementSpec, output_covariance, output_map
 from .output import cavity_output_map  # re-exported: perfbench/checks.py imports it here
 from .params import SteadyState, SystemParams, steady_state
@@ -49,9 +50,11 @@ class PipelineSettings:
     kappa_meas_mode: str = "kappa_total"  # or "kappa_in"
     branch: str | None = None
     diffusion_tol: float = 1e-7
-    vacuum_mode: str = "identity"  # or "printed_sinc"
     derivative_method: str = "derivative-lyapunov"
     fd_step: float | None = None
+    # not a setting: the constant perfbench/checks.py:233 passes to
+    # output_state; the follow-up of ROADMAP item 1 deletes both
+    vacuum_mode: ClassVar[str] = "identity"
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,8 @@ def build_measurement(params: SystemParams, omega_k: float = 0.0,
                       theta: float = 0.0,
                       settings: PipelineSettings = PipelineSettings()) -> MeasurementSpec:
     """Measurement spec with defaults tau = 1/kappa and kappa_meas chosen by
-    the configured convention (input-coupling rate, or total rate for
-    literal reproduction with the printed_sinc-style total rate)."""
+    ``settings.kappa_meas_mode``: the total decay rate kappa (the default)
+    or the input-coupling rate kappa_in."""
     if settings.kappa_meas_mode == "kappa_in":
         kappa_meas = params.kappa_in
     elif settings.kappa_meas_mode == "kappa_total":
@@ -92,8 +95,14 @@ def cavity_covariance(params: SystemParams,
     return CavityState(steady=ss, drift=a, diffusion=d, covariance=cov)
 
 
-# perfbench/checks.py imports the output map under this name (ROADMAP item 1)
-output_state = output_covariance
+def output_state(sigma_opt: np.ndarray, spec: MeasurementSpec,
+                 vacuum: str = "identity"):
+    """``output_covariance`` under the name and signature that
+    perfbench/checks.py:233 calls; the follow-up of ROADMAP item 1 deletes
+    it with ``PipelineSettings.vacuum_mode``."""
+    if vacuum != "identity":
+        raise DomainError(f"unknown vacuum convention {vacuum!r}")
+    return output_covariance(sigma_opt, spec)
 
 
 def _sigma_opt(params: SystemParams, settings: PipelineSettings, g: float) -> np.ndarray:
@@ -114,8 +123,8 @@ class OutputPipeline:
         self.settings = settings
 
     def __call__(self, g: float) -> np.ndarray:
-        return output_covariance(_sigma_opt(self.params, self.settings, g), self.spec,
-                                 vacuum=self.settings.vacuum_mode).matrix
+        return output_covariance(_sigma_opt(self.params, self.settings, g),
+                                 self.spec).matrix
 
 
 def cavity_dsigma_opt(params: SystemParams,
@@ -213,23 +222,20 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
     if dsigma_opt is None:
         dsigma_opt = cavity_dsigma_opt(params, settings, cavity)
 
-    sigma_out = output_covariance(cavity.covariance.optical_block, spec,
-                                  vacuum=settings.vacuum_mode).matrix
+    sigma_out = output_covariance(cavity.covariance.optical_block, spec).matrix
     dsigma_out = output_map(dsigma_opt, spec)
 
     tm = theta_max(sigma_out, dsigma_out, eta=spec.eta)
     theta = tm.theta if auto_theta else spec.theta
     qfi = qfi_gaussian(sigma_out, dsigma_out)
     cfi = cfi_bhd(sigma_out, dsigma_out, theta, spec.eta)
-    cfi_printed = cfi_ideal(sigma_out, dsigma_out, theta)
     saturation = 0.5 * tm.lambda_max ** 2 / qfi if qfi > 0 else float("nan")
 
     fd_step = None
     if settings.derivative_method == "finite-difference":
         fd_step = _fisher.fd_step(params.g_freq, settings.fd_step)
     return FisherReport(
-        qfi=qfi, cfi=cfi, cfi_printed_ideal=cfi_printed,
-        theta=theta, eta=spec.eta,
+        qfi=qfi, cfi=cfi, theta=theta, eta=spec.eta,
         theta_max=tm.theta, lambda_max=tm.lambda_max,
         saturation_ratio=saturation,
         derivative_method=settings.derivative_method,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__ as _version
 from .config import RunConfig
@@ -49,9 +49,8 @@ class SweepPointError(OmfisherError, RuntimeError):
         self.cause = cause
 
 
-def _row_from_report(value: float, rep: FisherReport, cfi_convention: str) -> SweepRow:
-    cfi = rep.cfi_printed_ideal if cfi_convention == "printed_ideal" else rep.cfi
-    return SweepRow(value=value, qfi=rep.qfi, cfi=cfi, theta_max=rep.theta_max,
+def _row_from_report(value: float, rep: FisherReport) -> SweepRow:
+    return SweepRow(value=value, qfi=rep.qfi, cfi=rep.cfi, theta_max=rep.theta_max,
                     saturation_ratio=rep.saturation_ratio, stable=True,
                     lyapunov_residual=rep.diagnostics["lyapunov_residual"],
                     diffusion_error=rep.diagnostics["diffusion_error"])
@@ -98,7 +97,7 @@ def run_sweep(cfg: RunConfig):
             rep = fisher_report(params, spec, settings, auto_theta=auto,
                                 cavity=shared.get("cavity"),
                                 dsigma_opt=shared.get("dsigma_opt"))
-            return _row_from_report(value, rep, cfg.cfi_convention)
+            return _row_from_report(value, rep)
         except (UnstableDriftError, AmbiguousBranchError):
             return SweepRow(value=value, qfi=None, cfi=None, theta_max=None,
                             saturation_ratio=None, stable=False,
@@ -114,28 +113,10 @@ def run_sweep(cfg: RunConfig):
         "sweep": {"variable": variable, "scale": cfg.sweep.scale,
                   "start": cfg.sweep.start, "stop": cfg.sweep.stop,
                   "points": cfg.sweep.points},
-        "baseline": {
-            "kappa_in": base_params.kappa_in,
-            "kappa_loss": base_params.kappa_loss,
-            "gamma": base_params.gamma,
-            "omega_m": base_params.omega_m,
-            "mass": base_params.mass,
-            "temperature": base_params.temperature,
-            "g_freq": base_params.g_freq,
-            "power": base_params.power,
-            "delta0": base_params.delta0,
-            "omega_laser": base_params.omega_laser,
-            "cutoff": base_params.cutoff,
-            "omega_k": base_meas["omega_k"],
-            "window": base_meas["window"],
-            "eta": base_meas["eta"],
-            "theta": base_meas["theta"],
-        },
+        "baseline": {**asdict(base_params), **base_meas},
         "switches": {
             "epsilon_uses_total_kappa": settings.epsilon_uses_total_kappa,
             "kappa_meas_mode": settings.kappa_meas_mode,
-            "cfi_convention": cfg.cfi_convention,
-            "vacuum_mode": settings.vacuum_mode,
             "derivative_method": settings.derivative_method,
         },
     }

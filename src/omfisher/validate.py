@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import OmfisherError
-from .fisher import cfi_bhd, cfi_ideal, fd_step, qfi_gaussian, theta_max
+from .fisher import cfi_bhd, fd_step, qfi_gaussian, theta_max
 from .kernels import BathSpec, kernel_di_numeric, kernel_dr, kernel_dr_numeric
 from .dynamics import brownian_diffusion_freq, drift_matrix, transient_covariance
 from .oracle import cfi_numeric, qfi_fock_converged
@@ -162,19 +162,16 @@ def _suite_transient(tol: float) -> list[CheckResult]:
 
 def _suite_output(tol: float) -> list[CheckResult]:
     sigma = np.array([[0.93, -0.21], [-0.21, 0.58]])
-    results = []
-    for vacuum in ("identity", "printed_sinc"):
-        worst = 0.0
-        for phase in (0.0, 1.57, 3.3, 7.0, 11.0):
-            for kt in (0.1, 0.5, 1.0, 3.16, 10.0):
-                spec = MeasurementSpec(omega_k=phase, window=1.0, kappa_meas=kt)
-                closed = output_covariance(sigma, spec, vacuum=vacuum).matrix
-                numeric = output_covariance_numeric(sigma, spec, vacuum=vacuum).matrix
-                rel = np.linalg.norm(closed - numeric) / np.linalg.norm(closed)
-                worst = max(worst, float(rel))
-        results.append(CheckResult(
-            "output", f"closed form vs double integral ({vacuum})",
-            worst <= tol, worst, tol))
+    worst = 0.0
+    for phase in (0.0, 1.57, 3.3, 7.0, 11.0):
+        for kt in (0.1, 0.5, 1.0, 3.16, 10.0):
+            spec = MeasurementSpec(omega_k=phase, window=1.0, kappa_meas=kt)
+            closed = output_covariance(sigma, spec).matrix
+            numeric = output_covariance_numeric(sigma, spec).matrix
+            rel = np.linalg.norm(closed - numeric) / np.linalg.norm(closed)
+            worst = max(worst, float(rel))
+    results = [CheckResult("output", "closed form vs double integral",
+                           worst <= tol, worst, tol)]
     spec0 = MeasurementSpec(omega_k=0.0, window=0.7, kappa_meas=2.0)
     closed0 = output_covariance(sigma, spec0).matrix
     exact0 = spec0.kappa_meas * spec0.window * sigma + np.eye(2)
@@ -276,19 +273,20 @@ def _suite_cfi(tol: float) -> list[CheckResult]:
     results.append(CheckResult("cfi", "homodyne CFI formula vs numeric FI (10 points)",
                                worst <= tol, worst, tol, worst_at))
 
-    # factor-2 adjudication between the two printed eta=1 normalizations
+    # factor-2 adjudication between the two printed eta=1 normalizations:
+    # cfi_bhd at eta = 1 and the ideal-detector form (R^T ds R / R^T s R)^2
     theta = tm.theta
     numeric = cfi_numeric(family_for(theta, 1.0), g0, h)
-    f_bhd = cfi_bhd(sig, dsig_fd, theta, 1.0)
-    f_ideal = cfi_ideal(sig, dsig_fd, theta)
-    ratio_bhd = numeric / f_bhd
+    r = np.array([math.cos(theta), math.sin(theta)])
+    f_ideal = float(r @ dsig_fd @ r / (r @ sig @ r)) ** 2
+    ratio_bhd = numeric / cfi_bhd(sig, dsig_fd, theta, 1.0)
     ratio_ideal = numeric / f_ideal
     ok = abs(ratio_bhd - 1.0) < 1e-4 and abs(ratio_ideal - 0.5) < 1e-4
     results.append(CheckResult(
         "cfi", "factor-2 adjudication at eta=1", ok, ratio_bhd, 1.0,
-        f"numeric/bhd_limit = {ratio_bhd:.8f}, numeric/printed_ideal = "
+        f"numeric/cfi_bhd = {ratio_bhd:.8f}, numeric/ideal-detector form = "
         f"{ratio_ideal:.8f}: the eta->1 limit of the efficiency-dependent "
-        "form is correct; the printed_ideal normalization counts twice"))
+        "form is correct; the ideal-detector normalization counts twice"))
     return results
 
 

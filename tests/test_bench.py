@@ -1,13 +1,17 @@
 """Schema of the BENCH_<tag>.json files written by scripts/bench.py (not
-the times themselves, which depend on the host)."""
+the times themselves, which depend on the host), and the library names the
+perfbench/ harness reads."""
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "scripts" / "bench.py"
 
 
 @pytest.fixture()
@@ -55,3 +59,18 @@ def test_runs_merge_into_one_file(bench, tmp_path):
 def test_repeat_must_be_positive(bench):
     with pytest.raises(SystemExit):
         bench.main(["--tag", "t", "--label", "x", "--repeat", "0"])
+
+
+def test_perfbench_grades_a_point(monkeypatch):
+    """One graded single_point operation, through the same library names
+    perfbench/checks.py imports (``pipeline.output_state``,
+    ``PipelineSettings.vacuum_mode`` and the rest), is correct with no
+    failed point."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    op = workloads.PointOp(workloads.BASE, "temperature", workloads.BASE.temperature)
+    grade = checks.grade_points(checks.points_of(op, op.run()),
+                                np.random.default_rng(1), 1)
+    assert grade.oracle_checked == 1
+    assert grade.correct and grade.failed == 0, grade.failures

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ points = 5
 
 [switches]
 kappa_meas_mode = kappa_total
-cfi_convention = bhd_limit
 
 [tolerances]
 diffusion_tol = 1e-7
@@ -88,10 +87,15 @@ class TestConfig:
             load_config(str(path))
 
     def test_removed_tolerance_keys_rejected(self, tmp_path):
+        """Keys of deleted knobs are unknown keys, not silently ignored."""
         path = tmp_path / "old.cfg"
-        path.write_text("[tolerances]\ndiffusion_periods = 2000\ndiffusion_nodes = 10\n")
-        with pytest.raises(ConfigError, match="unknown \\[tolerances\\] keys"):
-            load_config(str(path))
+        for section, text in (
+                ("tolerances", "diffusion_periods = 2000\ndiffusion_nodes = 10"),
+                ("switches", "cfi_convention = printed_ideal"),
+                ("switches", "vacuum_mode = printed_sinc")):
+            path.write_text(f"[{section}]\n{text}\n")
+            with pytest.raises(ConfigError, match=f"unknown \\[{section}\\] keys"):
+                load_config(str(path))
 
     def test_materialize_wraps_domain_errors_only(self):
         from dataclasses import replace
@@ -106,16 +110,15 @@ class TestConfig:
     def test_switches_and_tolerances_fill_settings(self, tmp_path):
         path = tmp_path / "switches.cfg"
         path.write_text("[switches]\nepsilon_uses_total_kappa = yes\n"
-                        "kappa_meas_mode = kappa_in\nvacuum_mode = printed_sinc\n"
+                        "kappa_meas_mode = kappa_in\n"
                         "derivative_method = finite-difference\nbranch = upper\n"
-                        "cfi_convention = printed_ideal\n"
                         "[tolerances]\ndiffusion_tol = 1e-8\nfd_step = 2.5\n")
         cfg = load_config(str(path))
         assert cfg.settings() == PipelineSettings(
             epsilon_uses_total_kappa=True, kappa_meas_mode="kappa_in", branch="upper",
-            diffusion_tol=1e-8, vacuum_mode="printed_sinc",
-            derivative_method="finite-difference", fd_step=2.5)
-        assert cfg.cfi_convention == "printed_ideal"
+            diffusion_tol=1e-8, derivative_method="finite-difference", fd_step=2.5)
+        # the vacuum term is a constant, not a setting
+        assert "vacuum_mode" not in {f.name for f in fields(PipelineSettings)}
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -301,6 +304,8 @@ class TestCli:
         pytest.param("system", "temperature_k = warm", "temperature_k",
                      id="temperature_k = warm"),
         pytest.param("measurement", "theta = diagonal", "theta", id="theta = diagonal"),
+        pytest.param("measurement", "theta = inf", "theta", id="theta = inf"),
+        pytest.param("measurement", "omega_k = nan", "omega_k", id="omega_k = nan"),
         pytest.param("measurement", "eta = 1.5", "eta", id="eta = 1.5"),
         pytest.param("measurement", "eta = 0", "eta", id="eta = 0"),
         pytest.param("measurement", "window_s = 0", "window_s", id="window_s = 0"),

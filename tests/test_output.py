@@ -28,6 +28,15 @@ def spec_at(omega_k=0.0, window=1.0, kappa=1.0, eta=1.0, theta=0.0):
                            eta=eta, theta=theta)
 
 
+def output_covariance_printed_sinc(sigma_opt, spec):
+    """The printed closed form: the cavity term of ``output_covariance`` plus
+    the vacuum term sinc(2 Omega_k tau) I, which decays away from
+    Omega_k = 0 instead of staying the input-output identity."""
+    phase = spec.omega_k * spec.window
+    cav = output_covariance(sigma_opt, spec).matrix - np.eye(2)
+    return cav + np.sinc(2.0 * phase / math.pi) * np.eye(2)
+
+
 pd_sigma = st.builds(
     lambda a, b, c: np.array([[1.0 + a, c], [c, 1.0 + b]]),
     st.floats(min_value=0.0, max_value=3.0),
@@ -50,23 +59,24 @@ class TestOutputCovariance:
         assert np.array_equal(out, expected)
 
     def test_filter_zero_kills_cavity_term(self):
-        """At Omega_k tau = 2 pi the sinc^2 filter blocks the cavity."""
+        """At Omega_k tau = 2 pi the sinc^2 filter blocks the cavity, and the
+        output is the vacuum I.  The printed sinc vacuum vanishes there too,
+        leaving about 0, which is not a state (det sigma < 1/4): the reason
+        that form is not the library's."""
         sigma = np.array([[1.4, 0.3], [0.3, 0.8]])
         spec = spec_at(omega_k=2.0 * math.pi, window=1.0, kappa=5.0)
-        printed = output_covariance(sigma, spec, vacuum="printed_sinc").matrix
-        # cavity and vacuum sinc both vanish there (up to rounding)
+        assert np.allclose(output_covariance(sigma, spec).matrix, np.eye(2), atol=1e-12)
+        printed = output_covariance_printed_sinc(sigma, spec)
         assert np.max(np.abs(printed)) < 1e-12
-        ident = output_covariance(sigma, spec, vacuum="identity").matrix
-        assert np.allclose(ident, np.eye(2), atol=1e-12)
+        assert np.linalg.det(printed) < 0.25
 
-    @pytest.mark.parametrize("vacuum", ["identity", "printed_sinc"])
-    def test_closed_vs_double_integral_grid(self, vacuum):
+    def test_closed_vs_double_integral_grid(self):
         sigma = np.array([[0.93, -0.21], [-0.21, 0.58]])
         for phase in (0.0, 1.57, 3.3, 7.0, 11.0):
             for kt in (0.1, 0.5, 1.0, 3.16, 10.0):
                 spec = spec_at(omega_k=phase, window=1.0, kappa=kt)
-                closed = output_covariance(sigma, spec, vacuum=vacuum).matrix
-                numeric = output_covariance_numeric(sigma, spec, vacuum=vacuum).matrix
+                closed = output_covariance(sigma, spec).matrix
+                numeric = output_covariance_numeric(sigma, spec).matrix
                 rel = np.linalg.norm(closed - numeric) / np.linalg.norm(closed)
                 assert rel < 1e-8
 
@@ -85,8 +95,8 @@ class TestOutputCovariance:
         for wk in (0.7, 2.1, 4.0):
             s1 = spec_at(omega_k=wk, window=tau, kappa=kt)
             s2 = spec_at(omega_k=wk + 2.0 * math.pi / tau, window=tau, kappa=kt)
-            m1 = output_covariance(sigma, s1, vacuum="identity").matrix - np.eye(2)
-            m2 = output_covariance(sigma, s2, vacuum="identity").matrix - np.eye(2)
+            m1 = output_covariance(sigma, s1).matrix - np.eye(2)
+            m2 = output_covariance(sigma, s2).matrix - np.eye(2)
             f1 = np.sinc(wk * tau / (2.0 * math.pi)) ** 2
             f2 = np.sinc((wk * tau + 2.0 * math.pi) / (2.0 * math.pi)) ** 2
             assert np.allclose(m1 / f1, m2 / f2, rtol=1e-10)
@@ -108,18 +118,28 @@ class TestOutputCovariance:
     def test_diagonal_sanity_bound(self):
         """diag >= sinc(2 Omega_k tau) - |off-diagonal| on a parameter grid."""
         sigma = np.array([[0.93, -0.21], [-0.21, 0.58]])
-        for vacuum in ("identity", "printed_sinc"):
-            for phase in (0.0, 0.9, 2.0, 4.5):
-                for kt in (0.2, 1.0, 5.0):
-                    spec = spec_at(omega_k=phase, window=1.0, kappa=kt)
-                    m = output_covariance(sigma, spec, vacuum=vacuum).matrix
-                    bound = np.sinc(2.0 * phase / math.pi) - abs(m[0, 1])
-                    assert m[0, 0] >= bound - 1e-12
-                    assert m[1, 1] >= bound - 1e-12
+        for phase in (0.0, 0.9, 2.0, 4.5):
+            for kt in (0.2, 1.0, 5.0):
+                spec = spec_at(omega_k=phase, window=1.0, kappa=kt)
+                m = output_covariance(sigma, spec).matrix
+                bound = np.sinc(2.0 * phase / math.pi) - abs(m[0, 1])
+                assert m[0, 0] >= bound - 1e-12
+                assert m[1, 1] >= bound - 1e-12
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
             spec_at(window=-1.0)
+
+    def test_output_state_is_output_covariance(self):
+        """The benchmark's name for the output map gives the same matrix and
+        refuses every vacuum convention but the identity."""
+        sigma = np.array([[1.1, 0.25], [0.25, 0.7]])
+        spec = spec_at(omega_k=1.3, window=1.0, kappa=2.0)
+        out = pipeline.output_state(sigma, spec,
+                                    vacuum=pipeline.PipelineSettings.vacuum_mode)
+        assert np.array_equal(out.matrix, output_covariance(sigma, spec).matrix)
+        with pytest.raises(DomainError):
+            pipeline.output_state(sigma, spec, vacuum="printed_sinc")
 
 
 def _taylor_map(x: float, tau: float) -> np.ndarray:
