@@ -5,7 +5,7 @@ keys the experimental literature quotes (e.g. ``kappa_over_2pi_hz``), one
 spelling per quantity.  Sections are parsed in a fixed order.
 Relational defaults mirror the baseline study: delta0 = -2 kappa,
 cutoff = 5 omega_m, detection window 1/kappa.  Figure presets fig1..fig5
-fill the sweep block programmatically; ranges the source figures leave
+fill the sweep block from one table; ranges the source figures leave
 unstated are chosen so the claimed features (peak, monotone trends) fall
 inside the grid, and are recorded in the emitted metadata.
 """
@@ -18,10 +18,13 @@ from dataclasses import dataclass, field, replace
 
 from .constants import C_LIGHT, TWO_PI
 from .errors import ConfigError, DomainError
-from .params import SystemParams
+from .params import SystemParams, rossi_params
 from .pipeline import PipelineSettings
 
-__all__ = ["SweepSpec", "RunConfig", "load_config", "apply_preset", "PRESETS"]
+__all__ = ["SweepSpec", "RunConfig", "load_config", "apply_preset", "PRESETS",
+           "SWITCHES"]
+
+_BASE = rossi_params()
 
 SWEEP_VARIABLES = ("omega_k", "theta", "eta", "kappa", "gamma", "power", "g",
                    "temperature", "delta0")
@@ -58,15 +61,15 @@ class SweepSpec:
 class RunConfig:
     """Materializes (SystemParams, measurement, settings) per sweep point."""
 
-    kappa_in: float = TWO_PI * 18.5e6 / 2.0
-    kappa_loss: float = TWO_PI * 18.5e6 / 2.0
-    gamma: float = TWO_PI * 130.0
-    omega_m: float = TWO_PI * 1.14e6
-    mass: float = 16e-12
-    temperature: float = 11.0
-    g_freq: float = TWO_PI * 129.0
-    power: float = 1e-6
-    omega_laser: float = TWO_PI * C_LIGHT / 1550e-9
+    kappa_in: float = _BASE.kappa_in
+    kappa_loss: float = _BASE.kappa_loss
+    gamma: float = _BASE.gamma
+    omega_m: float = _BASE.omega_m
+    mass: float = _BASE.mass
+    temperature: float = _BASE.temperature
+    g_freq: float = _BASE.g_freq
+    power: float = _BASE.power
+    omega_laser: float = _BASE.omega_laser
     delta0_in_kappa: float | None = -2.0   # relational default
     delta0: float | None = None            # absolute override [rad/s]
     cutoff_in_omega_m: float | None = 5.0
@@ -161,6 +164,9 @@ _FREQ_KEYS = {
     "cutoff": "cutoff",
     "omega_laser": "omega_laser",
 }
+_SCALAR_KEYS = {"mass_kg": "mass", "temperature_k": "temperature",
+                "power_w": "power", "delta0_in_kappa": "delta0_in_kappa",
+                "cutoff_in_omega_m": "cutoff_in_omega_m"}
 
 
 def _read(section, key: str, get: str = "getfloat"):
@@ -194,10 +200,8 @@ def _read_freq(section, key: str) -> float:
 
 def _parse_system(cfg: RunConfig, section) -> RunConfig:
     updates = {}
-    known = {"kappa", "kappa_over_2pi_hz", "laser_wavelength_m"}
     for key, attr in _FREQ_KEYS.items():
         spellings = (key, key + "_over_2pi_hz")
-        known.update(spellings)
         _one_spelling(section, *spellings)
         if key in ("kappa_in", "kappa_loss"):
             _one_spelling(section, "kappa", "kappa_over_2pi_hz", *spellings)
@@ -208,11 +212,7 @@ def _parse_system(cfg: RunConfig, section) -> RunConfig:
     if "kappa" in section or "kappa_over_2pi_hz" in section:
         total = _read_freq(section, "kappa")
         updates["kappa_in"] = updates["kappa_loss"] = total / 2.0
-    scalars = {"mass_kg": "mass", "temperature_k": "temperature",
-               "power_w": "power", "delta0_in_kappa": "delta0_in_kappa",
-               "cutoff_in_omega_m": "cutoff_in_omega_m"}
-    for key, attr in scalars.items():
-        known.add(key)
+    for key, attr in _SCALAR_KEYS.items():
         if key in section:
             updates[attr] = _read(section, key)
     if "laser_wavelength_m" in section:
@@ -221,16 +221,11 @@ def _parse_system(cfg: RunConfig, section) -> RunConfig:
         updates["delta0_in_kappa"] = None
     if "cutoff" in updates:
         updates["cutoff_in_omega_m"] = None
-    unknown = set(section.keys()) - known
-    if unknown:
-        raise ConfigError(f"unknown [system] keys: {sorted(unknown)}")
     return replace(cfg, **updates)
 
 
 def _parse_measurement(cfg: RunConfig, section) -> RunConfig:
     updates = {}
-    known = {"omega_k", "omega_k_over_2pi_hz", "omega_k_in_kappa",
-             "window_s", "eta", "theta"}
     _one_spelling(section, "omega_k", "omega_k_over_2pi_hz", "omega_k_in_kappa")
     if "omega_k" in section or "omega_k_over_2pi_hz" in section:
         updates["omega_k"] = _read_freq(section, "omega_k")
@@ -247,17 +242,10 @@ def _parse_measurement(cfg: RunConfig, section) -> RunConfig:
     if "theta" in section:
         auto = section.get("theta").strip() == "auto"
         updates["theta"] = "auto" if auto else _read(section, "theta")
-    unknown = set(section.keys()) - known
-    if unknown:
-        raise ConfigError(f"unknown [measurement] keys: {sorted(unknown)}")
     return replace(cfg, **updates)
 
 
 def _parse_sweep(cfg: RunConfig, section) -> RunConfig:
-    known = {"variable", "scale", "start", "stop", "points"}
-    unknown = set(section.keys()) - known
-    if unknown:
-        raise ConfigError(f"unknown [sweep] keys: {sorted(unknown)}")
     variable = section.get("variable")
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}")
@@ -272,15 +260,13 @@ def _parse_sweep(cfg: RunConfig, section) -> RunConfig:
 
 _SWITCH_CHOICES = {
     "kappa_meas_mode": ("kappa_in", "kappa_total"),
-    "derivative_method": ("finite-difference", "derivative-lyapunov"),
     "branch": ("lower", "upper", ""),  # empty: no branch policy
 }
+# the PipelineSettings fields a config sets; the sweep metadata records them
+SWITCHES = ("epsilon_uses_total_kappa", *_SWITCH_CHOICES)
 
 
 def _parse_switches(cfg: RunConfig, section) -> RunConfig:
-    unknown = set(section.keys()) - set(_SWITCH_CHOICES) - {"epsilon_uses_total_kappa"}
-    if unknown:
-        raise ConfigError(f"unknown [switches] keys: {sorted(unknown)}")
     updates = {}
     for key, choices in _SWITCH_CHOICES.items():
         if key in section:
@@ -296,20 +282,8 @@ def _parse_switches(cfg: RunConfig, section) -> RunConfig:
     return replace(cfg, pipeline=replace(cfg.pipeline, **updates))
 
 
-def _parse_tolerances(cfg: RunConfig, section) -> RunConfig:
-    updates = {}
-    known = {"diffusion_tol", "fd_step"}
-    for key in known & set(section.keys()):
-        updates[key] = _read(section, key)
-    unknown = set(section.keys()) - known
-    if unknown:
-        raise ConfigError(f"unknown [tolerances] keys: {sorted(unknown)}")
-    return replace(cfg, pipeline=replace(cfg.pipeline, **updates))
-
-
 def _parse_output(cfg: RunConfig, section) -> RunConfig:
     updates = {}
-    known = {"path", "format"}
     if "path" in section:
         updates["out_path"] = section.get("path")
     if "format" in section:
@@ -317,19 +291,19 @@ def _parse_output(cfg: RunConfig, section) -> RunConfig:
         if fmt not in ("csv", "json"):
             raise ConfigError("output format must be csv or json")
         updates["out_format"] = fmt
-    unknown = set(section.keys()) - known
-    if unknown:
-        raise ConfigError(f"unknown [output] keys: {sorted(unknown)}")
     return replace(cfg, **updates)
 
 
-_SECTION_PARSERS = {
-    "system": _parse_system,
-    "measurement": _parse_measurement,
-    "sweep": _parse_sweep,
-    "switches": _parse_switches,
-    "tolerances": _parse_tolerances,
-    "output": _parse_output,
+# section -> (accepted keys, parser), in the order the sections are parsed
+_SECTIONS = {
+    "system": ({"kappa", "kappa_over_2pi_hz", "laser_wavelength_m", *_SCALAR_KEYS,
+                *_FREQ_KEYS, *(key + "_over_2pi_hz" for key in _FREQ_KEYS)},
+               _parse_system),
+    "measurement": ({"omega_k", "omega_k_over_2pi_hz", "omega_k_in_kappa",
+                     "window_s", "eta", "theta"}, _parse_measurement),
+    "sweep": ({"variable", "scale", "start", "stop", "points"}, _parse_sweep),
+    "switches": (set(SWITCHES), _parse_switches),
+    "output": ({"path", "format"}, _parse_output),
 }
 
 
@@ -347,12 +321,16 @@ def load_config(path: str | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     for name in parser.sections():
-        if name not in _SECTION_PARSERS:
-            raise ConfigError(f"unknown config section [{name}]")
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{name}] with keys "
+                              f"{sorted(parser[name])}")
     # a fixed order, so that relational keys such as omega_k_in_kappa read
     # the [system] values wherever that section stands in the file
-    for name, parse in _SECTION_PARSERS.items():
+    for name, (known, parse) in _SECTIONS.items():
         if parser.has_section(name):
+            unknown = set(parser[name]) - known
+            if unknown:
+                raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
             cfg = parse(cfg, parser[name])
     if cfg.sweep is not None:
         _check_sweep_domain(cfg)
@@ -372,62 +350,30 @@ def _check_sweep_domain(cfg: RunConfig) -> None:
             raise ConfigError(f"[sweep] eta = {end!r} must lie in (0, 1]")
 
 
-def _fig1(cfg: RunConfig) -> RunConfig:
-    k = cfg.base_kappa()
-    return replace(cfg, sweep=SweepSpec("omega_k", "linear", -3.0 * k, 3.0 * k, 121))
-
-
-def _fig2(cfg: RunConfig) -> RunConfig:
-    return replace(cfg, sweep=SweepSpec("eta", "linear", 0.05, 1.0, 96))
-
-
-def _fig3a(cfg: RunConfig) -> RunConfig:
-    k = cfg.base_kappa()
-    return replace(cfg, sweep=SweepSpec("omega_k", "linear", -3.0 * k, 3.0 * k, 121))
-
-
-def _fig3b(cfg: RunConfig) -> RunConfig:
-    k = cfg.base_kappa()
-    return replace(cfg, omega_k=0.0,
-                   sweep=SweepSpec("delta0", "linear", -20.0 * k, -0.5 * k, 40))
-
-
-def _fig4a(cfg: RunConfig) -> RunConfig:
-    k = cfg.base_kappa()
-    return replace(cfg, sweep=SweepSpec("kappa", "log", 0.5 * k, 4.0 * k, 25))
-
-
-def _fig4b(cfg: RunConfig) -> RunConfig:
-    return replace(cfg, sweep=SweepSpec("gamma", "log", 0.5 * cfg.gamma,
-                                        10.0 * cfg.gamma, 25))
-
-
-def _fig4c(cfg: RunConfig) -> RunConfig:
-    return replace(cfg, sweep=SweepSpec("power", "log", 0.1e-6, 10e-6, 25))
-
-
-def _fig4d(cfg: RunConfig) -> RunConfig:
-    return replace(cfg, sweep=SweepSpec("g", "linear", 0.0, 2.0 * cfg.g_freq, 21))
-
-
-def _fig5(cfg: RunConfig) -> RunConfig:
-    return replace(cfg, sweep=SweepSpec("temperature", "log", 0.01, 100.0, 41))
-
-
+# name -> (variable, scale, start, stop, points); the grid ends are in units
+# of the configured kappa (omega_k, delta0, kappa), gamma (gamma) or g (g),
+# and absolute for the other variables
 PRESETS = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig3a": _fig3a,
-    "fig3b": _fig3b,
-    "fig4a": _fig4a,
-    "fig4b": _fig4b,
-    "fig4c": _fig4c,
-    "fig4d": _fig4d,
-    "fig5": _fig5,
+    "fig1": ("omega_k", "linear", -3.0, 3.0, 121),
+    "fig2": ("eta", "linear", 0.05, 1.0, 96),
+    "fig3a": ("omega_k", "linear", -3.0, 3.0, 121),
+    "fig3b": ("delta0", "linear", -20.0, -0.5, 40),
+    "fig4a": ("kappa", "log", 0.5, 4.0, 25),
+    "fig4b": ("gamma", "log", 0.5, 10.0, 25),
+    "fig4c": ("power", "log", 0.1e-6, 10e-6, 25),
+    "fig4d": ("g", "linear", 0.0, 2.0, 21),
+    "fig5": ("temperature", "log", 0.01, 100.0, 41),
 }
 
 
 def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return replace(PRESETS[name](cfg), preset=name)
+    variable, scale, start, stop, points = PRESETS[name]
+    kappa = cfg.base_kappa()
+    unit = {"omega_k": kappa, "delta0": kappa, "kappa": kappa, "gamma": cfg.gamma,
+            "g": cfg.g_freq}.get(variable, 1.0)
+    cfg = replace(cfg, preset=name,
+                  sweep=SweepSpec(variable, scale, start * unit, stop * unit, points))
+    # fig3b scans the detuning at the cavity frequency whatever the config sets
+    return replace(cfg, omega_k=0.0) if name == "fig3b" else cfg

@@ -69,8 +69,6 @@ class FisherReport:
     theta_max: float
     lambda_max: float
     saturation_ratio: float   # max_theta CFI(eta=1) / QFI
-    derivative_method: str
-    tolerances: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
 

@@ -44,12 +44,13 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Convention switches and numerical knobs of the pipeline."""
+    """Convention switches of the pipeline (``config.SWITCHES``), and the
+    coupling-derivative route, which only code sets: validate's Richardson
+    cross-check and perfbench/checks.py."""
 
     epsilon_uses_total_kappa: bool = False
     kappa_meas_mode: str = "kappa_total"  # or "kappa_in"
     branch: str | None = None
-    diffusion_tol: float = 1e-7
     derivative_method: str = "derivative-lyapunov"
     fd_step: float | None = None
     # not a setting: the constant perfbench/checks.py:233 passes to
@@ -90,7 +91,7 @@ def cavity_covariance(params: SystemParams,
     ss = steady_state(params, branch=settings.branch,
                       epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
     a = drift_matrix(params, ss)
-    d = diffusion_matrix(params, a, tol=settings.diffusion_tol)
+    d = diffusion_matrix(params, a)
     cov = stationary_covariance(a, d)
     return CavityState(steady=ss, drift=a, diffusion=d, covariance=cov)
 
@@ -192,7 +193,7 @@ def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings
     lam, vec, c_vec, _ = a.spectrum
     lap, dlap = cav.diffusion.laplace, cav.diffusion.dlaplace
     if lap is None:
-        lap, dlap, _ = brownian_laplace(params, lam, settings.diffusion_tol)
+        lap, dlap, _ = brownian_laplace(params, lam)
     b_mat = np.linalg.solve(vec, da.astype(complex) @ vec)
     dl = lam[None, :] - lam[:, None]
     close = np.abs(dl) < 1e-8 * np.max(np.abs(lam))
@@ -231,15 +232,10 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
     cfi = cfi_bhd(sigma_out, dsigma_out, theta, spec.eta)
     saturation = 0.5 * tm.lambda_max ** 2 / qfi if qfi > 0 else float("nan")
 
-    fd_step = None
-    if settings.derivative_method == "finite-difference":
-        fd_step = _fisher.fd_step(params.g_freq, settings.fd_step)
     return FisherReport(
         qfi=qfi, cfi=cfi, theta=theta, eta=spec.eta,
         theta_max=tm.theta, lambda_max=tm.lambda_max,
         saturation_ratio=saturation,
-        derivative_method=settings.derivative_method,
-        tolerances={"diffusion_tol": settings.diffusion_tol, "fd_step": fd_step},
         diagnostics={
             "lyapunov_residual": cavity.covariance.residual,
             "diffusion_error": cavity.diffusion.error_estimate,

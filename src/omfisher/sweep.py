@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import __version__ as _version
-from .config import RunConfig
+from .config import SWITCHES, RunConfig
 from .dynamics import drift_matrix
 from .errors import (AmbiguousBranchError, ConfigError, OmfisherError,
                      UnstableDriftError)
@@ -114,11 +114,7 @@ def run_sweep(cfg: RunConfig):
                   "start": cfg.sweep.start, "stop": cfg.sweep.stop,
                   "points": cfg.sweep.points},
         "baseline": {**asdict(base_params), **base_meas},
-        "switches": {
-            "epsilon_uses_total_kappa": settings.epsilon_uses_total_kappa,
-            "kappa_meas_mode": settings.kappa_meas_mode,
-            "derivative_method": settings.derivative_method,
-        },
+        "switches": {key: getattr(settings, key) for key in SWITCHES},
     }
     return metadata, rows
 
@@ -168,5 +164,8 @@ def render_json(metadata: dict, rows: list[SweepRow]) -> str:
 
 def write_rows(path: str, metadata: dict, rows: list[SweepRow], fmt: str) -> None:
     text = render_csv(metadata, rows) if fmt == "csv" else render_json(metadata, rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc

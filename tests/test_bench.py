@@ -5,6 +5,7 @@ perfbench/ harness reads."""
 import importlib
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,4 +74,22 @@ def test_perfbench_grades_a_point(monkeypatch):
     grade = checks.grade_points(checks.points_of(op, op.run()),
                                 np.random.default_rng(1), 1)
     assert grade.oracle_checked == 1
+    assert grade.correct and grade.failed == 0, grade.failures
+
+
+@pytest.mark.parametrize("sweep", [("eta", 0.5, 1.0), ("temperature", 1.0, 20.0)],
+                         ids=["eta", "temperature"])
+def test_perfbench_grades_a_sweep(monkeypatch, sweep):
+    """A 3-point run_sweep operation, a measurement-only and a state sweep,
+    passes perfbench's row and CSV line counts and its oracle checks."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    from omfisher.config import SweepSpec
+    variable, start, stop = sweep
+    op = workloads.SweepOp(replace(workloads.BASE,
+                                   sweep=SweepSpec(variable, "linear", start, stop, 3)))
+    grade = checks.grade_points(checks.points_of(op, op.run()),
+                                np.random.default_rng(1), 1)
+    assert grade.attempted == 3 and grade.oracle_checked == 1
     assert grade.correct and grade.failed == 0, grade.failures

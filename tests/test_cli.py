@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from omfisher.cli import main
-from omfisher.config import PRESETS, RunConfig, SweepSpec, apply_preset, load_config
+from omfisher.config import (PRESETS, SWITCHES, RunConfig, SweepSpec, apply_preset,
+                             load_config)
 from omfisher.constants import TWO_PI
 from omfisher.errors import ConfigError
+from omfisher.params import rossi_params
 from omfisher.pipeline import PipelineSettings
 from omfisher.sweep import ROW_FIELDS, render_csv, run_sweep
 from omfisher.validate import validate
@@ -48,9 +50,6 @@ points = 5
 [switches]
 kappa_meas_mode = kappa_total
 
-[tolerances]
-diffusion_tol = 1e-7
-
 [output]
 path = out.csv
 format = csv
@@ -73,6 +72,11 @@ class TestConfig:
         assert params.cutoff == pytest.approx(5.0 * params.omega_m, rel=1e-12)
         assert meas["window"] == pytest.approx(1.0 / params.kappa, rel=1e-12)
 
+    def test_defaults_are_rossi_params(self):
+        """The baseline is defined once: the defaults materialize to the
+        baseline parameter set exactly."""
+        assert RunConfig().materialize()[0] == rossi_params()
+
     def test_file_round_trip(self, config_file):
         cfg = load_config(config_file)
         params, meas = cfg.materialize()
@@ -87,15 +91,24 @@ class TestConfig:
             load_config(str(path))
 
     def test_removed_tolerance_keys_rejected(self, tmp_path):
-        """Keys of deleted knobs are unknown keys, not silently ignored."""
+        """Keys of deleted knobs, and the deleted [tolerances] section, are
+        rejected (exit 2), not silently ignored."""
         path = tmp_path / "old.cfg"
-        for section, text in (
-                ("tolerances", "diffusion_periods = 2000\ndiffusion_nodes = 10"),
-                ("switches", "cfi_convention = printed_ideal"),
-                ("switches", "vacuum_mode = printed_sinc")):
+        for section, text, message in (
+                ("tolerances", "diffusion_periods = 2000\ndiffusion_nodes = 10",
+                 "unknown config section"),
+                ("tolerances", "diffusion_tol = 1e-8", "unknown config section"),
+                ("tolerances", "fd_step = 2.5", "unknown config section"),
+                ("switches", "derivative_method = finite-difference",
+                 "unknown \\[switches\\] keys"),
+                ("switches", "cfi_convention = printed_ideal",
+                 "unknown \\[switches\\] keys"),
+                ("switches", "vacuum_mode = printed_sinc",
+                 "unknown \\[switches\\] keys")):
             path.write_text(f"[{section}]\n{text}\n")
-            with pytest.raises(ConfigError, match=f"unknown \\[{section}\\] keys"):
+            with pytest.raises(ConfigError, match=message):
                 load_config(str(path))
+            assert main(["steady-state", "--config", str(path)]) == 2
 
     def test_materialize_wraps_domain_errors_only(self):
         from dataclasses import replace
@@ -107,16 +120,13 @@ class TestConfig:
     def test_pipeline_settings_default_to_run_config(self):
         assert asdict(PipelineSettings()) == asdict(RunConfig().settings())
 
-    def test_switches_and_tolerances_fill_settings(self, tmp_path):
+    def test_switches_fill_settings(self, tmp_path):
         path = tmp_path / "switches.cfg"
         path.write_text("[switches]\nepsilon_uses_total_kappa = yes\n"
-                        "kappa_meas_mode = kappa_in\n"
-                        "derivative_method = finite-difference\nbranch = upper\n"
-                        "[tolerances]\ndiffusion_tol = 1e-8\nfd_step = 2.5\n")
+                        "kappa_meas_mode = kappa_in\nbranch = upper\n")
         cfg = load_config(str(path))
         assert cfg.settings() == PipelineSettings(
-            epsilon_uses_total_kappa=True, kappa_meas_mode="kappa_in", branch="upper",
-            diffusion_tol=1e-8, derivative_method="finite-difference", fd_step=2.5)
+            epsilon_uses_total_kappa=True, kappa_meas_mode="kappa_in", branch="upper")
         # the vacuum term is a constant, not a setting
         assert "vacuum_mode" not in {f.name for f in fields(PipelineSettings)}
 
@@ -139,6 +149,37 @@ class TestConfig:
             assert pc.sweep is not None
             assert pc.preset == name
             assert len(pc.sweep.grid()) == pc.sweep.points
+
+    def test_preset_specs(self):
+        """Each preset's grid, written out: kappa-relative ends for omega_k,
+        delta0 and kappa, gamma- and g-relative ends for gamma and g."""
+        cfg = load_config(None)
+        k, gamma, g = cfg.base_kappa(), cfg.gamma, cfg.g_freq
+        expected = {
+            "fig1": SweepSpec("omega_k", "linear", -3.0 * k, 3.0 * k, 121),
+            "fig2": SweepSpec("eta", "linear", 0.05, 1.0, 96),
+            "fig3a": SweepSpec("omega_k", "linear", -3.0 * k, 3.0 * k, 121),
+            "fig3b": SweepSpec("delta0", "linear", -20.0 * k, -0.5 * k, 40),
+            "fig4a": SweepSpec("kappa", "log", 0.5 * k, 4.0 * k, 25),
+            "fig4b": SweepSpec("gamma", "log", 0.5 * gamma, 10.0 * gamma, 25),
+            "fig4c": SweepSpec("power", "log", 0.1e-6, 10e-6, 25),
+            "fig4d": SweepSpec("g", "linear", 0.0, 2.0 * g, 21),
+            "fig5": SweepSpec("temperature", "log", 0.01, 100.0, 41),
+        }
+        assert set(PRESETS) == set(expected)
+        for name, spec in expected.items():
+            assert apply_preset(cfg, name).sweep == spec, name
+
+    def test_fig3b_measures_at_cavity_frequency(self, tmp_path):
+        """fig3b overrides a configured filter frequency with Omega_k = 0;
+        the other presets keep it."""
+        path = tmp_path / "omega_k.cfg"
+        path.write_text("[measurement]\nomega_k_in_kappa = 1\n")
+        cfg = load_config(str(path))
+        assert cfg.omega_k == cfg.base_kappa()
+        fig3b = apply_preset(cfg, "fig3b")
+        assert fig3b.materialize("delta0", fig3b.sweep.start)[1]["omega_k"] == 0.0
+        assert apply_preset(cfg, "fig4a").omega_k == cfg.base_kappa()
 
     def test_kappa_sweep_tracks_relational_defaults(self):
         cfg = load_config(None)
@@ -225,6 +266,18 @@ class TestSweep:
         last = text.strip().split("\n")[-1]
         assert ",false," in last and last.endswith(",,")
 
+    def test_metadata_records_every_switch(self, tmp_path):
+        """The metadata carries every key the [switches] section accepts,
+        branch included."""
+        path = tmp_path / "branch.cfg"
+        path.write_text("[switches]\nbranch = upper\n")
+        cfg = apply_preset(load_config(str(path)), "fig4d")
+        metadata, _ = run_sweep(cfg)
+        assert set(metadata["switches"]) == set(SWITCHES)
+        assert metadata["switches"]["branch"] == "upper"
+        assert run_sweep(apply_preset(load_config(None), "fig4d"))[0][
+            "switches"]["branch"] is None
+
     def test_missing_sweep_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(load_config(None))
@@ -288,6 +341,14 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().strip().split("\n")[-1].startswith("1,")
+
+    def test_unwritable_output_path_exit_code(self, tmp_path, capsys):
+        """An output path that cannot be written is a configuration error
+        naming the path (exit 2), not a traceback."""
+        out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+        assert main(["sweep", "--preset", "fig4d", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and out in err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
