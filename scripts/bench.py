@@ -74,7 +74,7 @@ def _stages(n: int) -> dict:
     cav = cavity_covariance(p, default)
     sigma_opt = cav.covariance.optical_block
     dsigma_opt = cavity_dsigma_opt(p, default, cav)
-    sig = output_covariance(sigma_opt, spec).matrix
+    sig = output_covariance(sigma_opt, spec)
     dsig = output_map(dsigma_opt, spec)
 
     def output_stage(_):

@@ -3,13 +3,13 @@ quantum/classical Fisher information of coupling-strength estimation."""
 
 from .params import (SystemParams, SteadyState, BistabilityWindow, rossi_params,
                      coupling_to_si, steady_state, bistability_window)
-from .kernels import (BathSpec, KernelValue, spectral_density, trigamma,
-                      kernel_dr, kernel_dr_numeric, kernel_di_numeric)
+from .kernels import (BathSpec, spectral_density, trigamma, kernel_closed,
+                      kernel_dr_numeric, kernel_di_numeric)
 from .dynamics import (DriftMatrix, DiffusionMatrix, CovarianceMatrix4,
                        drift_matrix, diffusion_matrix, stationary_covariance,
                        transient_covariance)
-from .output import (MeasurementSpec, OutputCovariance2, output_covariance,
-                     output_covariance_numeric, homodyne_pdf)
+from .output import (MeasurementSpec, output_covariance, output_covariance_numeric,
+                     homodyne_pdf)
 from .fisher import FisherReport, dsigma_dg, qfi_gaussian, cfi_bhd, theta_max
 from .pipeline import PipelineSettings, cavity_covariance, fisher_report
 

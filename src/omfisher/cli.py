@@ -17,7 +17,7 @@ from .config import PRESETS, apply_preset, load_config
 from .dynamics import drift_matrix
 from .errors import ConfigError, OmfisherError
 from .params import bistability_window, steady_state
-from .sweep import run_sweep, write_rows
+from .sweep import check_writable, run_sweep, write_rows
 from .validate import SUITES, validate
 
 
@@ -55,6 +55,7 @@ def _cmd_sweep(args) -> int:
         cfg = replace(cfg, out_path=args.out)
     if args.format:
         cfg = replace(cfg, out_format=args.format)
+    check_writable(cfg.out_path)
     metadata, rows = run_sweep(cfg)
     write_rows(cfg.out_path, metadata, rows, cfg.out_format)
     n_bad = sum(1 for r in rows if not r.stable)

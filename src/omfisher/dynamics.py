@@ -4,7 +4,9 @@ Everything is solved in an internally nondimensionalized basis where the
 mechanical quadratures are measured in zero-point units
 (x_zp = sqrt(hbar/(2 m omega_m)), p_zp = sqrt(hbar m omega_m / 2)); raw SI
 drift entries span ~30 orders of magnitude and would wreck conditioning.
-SI matrices are recovered on output through the diagonal scale vector.
+The drift matrix keeps its SI form and the diagonal scale vector beside the
+scaled one; the diffusion and covariance matrices exist only in the scaled
+basis, where the optical block is the same as in SI units.
 
 The diffusion matrix is
 
@@ -36,7 +38,7 @@ from scipy.special import exp1, zeta
 from .constants import HBAR, KB
 from .errors import (DegenerateLyapunovError, NumericalError, QuadratureError,
                      UnstableDriftError)
-from .kernels import BathSpec, _w_coth, dr_closed_array
+from .kernels import BathSpec, _w_coth, kernel_closed
 from .params import SteadyState, SystemParams
 
 __all__ = [
@@ -115,9 +117,7 @@ class DriftMatrix:
 class DiffusionMatrix:
     """Symmetrized noise input of the covariance dynamics."""
 
-    matrix: np.ndarray
     matrix_scaled: np.ndarray
-    scale: np.ndarray
     error_estimate: float      # relative, scaled space
     path: str                  # "laplace" or "frequency"
     # L(lambda) and dL/dlambda of the Brownian kernel at the drift
@@ -130,9 +130,7 @@ class DiffusionMatrix:
 class CovarianceMatrix4:
     """Stationary covariance over (dq, dp, dX, dY)."""
 
-    matrix: np.ndarray
     matrix_scaled: np.ndarray
-    scale: np.ndarray
     residual: float            # relative Lyapunov residual, scaled space
 
     @property
@@ -167,7 +165,7 @@ def drift_matrix(params: SystemParams, ss: SteadyState) -> DriftMatrix:
 def _scaled_kernel(params: SystemParams, tau: np.ndarray) -> np.ndarray:
     """hbar*D_R(tau) expressed in zero-point momentum units: 2 D_R/(m omega_m)."""
     bath = BathSpec.from_params(params)
-    return dr_closed_array(bath, tau) * (2.0 / (params.mass * params.omega_m))
+    return kernel_closed(bath, tau)[0] * (2.0 / (params.mass * params.omega_m))
 
 
 def _tau_grid(params: SystemParams):
@@ -311,10 +309,8 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix,
             f"Brownian diffusion ({path}) error {rel_err:.3e} exceeds tol {tol:.3e}",
             estimate=rel_err)
 
-    d_si = d_scaled * np.outer(a.scale, a.scale)
-    return DiffusionMatrix(matrix=d_si, matrix_scaled=d_scaled, scale=a.scale,
-                           error_estimate=rel_err, path=path,
-                           laplace=lap, dlaplace=dlap)
+    return DiffusionMatrix(matrix_scaled=d_scaled, error_estimate=rel_err,
+                           path=path, laplace=lap, dlaplace=dlap)
 
 
 def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix):
@@ -370,9 +366,7 @@ def stationary_covariance(a: DriftMatrix, d: DiffusionMatrix) -> CovarianceMatri
     if not a.stable:
         raise UnstableDriftError("stationary covariance requires a Hurwitz drift matrix")
     sigma_scaled, res = lyapunov_solve(a, d.matrix_scaled)
-    sigma_si = sigma_scaled * np.outer(a.scale, a.scale)
-    return CovarianceMatrix4(matrix=sigma_si, matrix_scaled=sigma_scaled,
-                             scale=a.scale.copy(), residual=res)
+    return CovarianceMatrix4(matrix_scaled=sigma_scaled, residual=res)
 
 
 def _van_loan_step(a_scaled: np.ndarray, d_scaled: np.ndarray, h: float):
@@ -437,7 +431,4 @@ def transient_covariance(params: SystemParams, a: DriftMatrix,
         e_step = e_step @ e_step
     sigma = e_step @ sigma @ e_step.T + q_step
     sigma = 0.5 * (sigma + sigma.T)
-
-    sigma_si = sigma * np.outer(a.scale, a.scale)
-    return CovarianceMatrix4(matrix=sigma_si, matrix_scaled=sigma,
-                             scale=a.scale.copy(), residual=float("nan"))
+    return CovarianceMatrix4(matrix_scaled=sigma, residual=float("nan"))

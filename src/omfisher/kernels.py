@@ -23,13 +23,11 @@ from .errors import DomainError, QuadratureError
 
 __all__ = [
     "BathSpec",
-    "KernelValue",
     "spectral_density",
     "trigamma",
-    "kernel_dr",
+    "kernel_closed",
     "kernel_dr_numeric",
     "kernel_di_numeric",
-    "dr_closed_array",
 ]
 
 # error budget of the kernel quadrature, relative to int J coth dw
@@ -63,17 +61,6 @@ class BathSpec:
     def from_params(cls, params) -> "BathSpec":
         return cls(mass=params.mass, gamma=params.gamma,
                    temperature=params.temperature, cutoff=params.cutoff)
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel evaluation at lag tau; quadrature paths carry an absolute
-    error estimate."""
-
-    tau: float
-    d_r: float | None = None
-    d_i: float | None = None
-    abs_error_estimate: float | None = None
 
 
 def spectral_density(bath: BathSpec, omega):
@@ -114,12 +101,15 @@ def trigamma(z):
     return complex(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
-def _closed_pair(bath: BathSpec, tau):
-    """Closed-form (D_R, D_I) on an array of lags."""
+def kernel_closed(bath: BathSpec, tau):
+    """Closed-form symmetric kernel D_R(tau) and antisymmetric kernel
+    D_I(tau), as floats at one lag or as arrays on an array of lags."""
     tau = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(tau)):
+        raise DomainError("tau must be finite")
     m, g, T, W = bath.mass, bath.gamma, bath.temperature, bath.cutoff
     pref = 2.0 * m * g / math.pi
-    x = W * tau
+    x = W * np.atleast_1d(tau)
     den = (x * x + 1.0) ** 2
     d_i = pref * 2.0 * W * W * x / den
     first = pref * W * W * (x * x - 1.0) / den
@@ -131,21 +121,10 @@ def _closed_pair(bath: BathSpec, tau):
         kt = KB * T
         zz = (1.0 - 1j * x) * (kt / (HBAR * W))
         thermal = (pref / HBAR ** 2) * kt * kt * 2.0 * np.real(trigamma(zz))
-    return first + thermal, d_i
-
-
-def kernel_dr(bath: BathSpec, tau: float) -> KernelValue:
-    """Closed-form symmetric kernel D_R(tau) and antisymmetric kernel
-    D_I(tau)."""
-    if not math.isfinite(tau):
-        raise DomainError("tau must be finite")
-    d_r, d_i = _closed_pair(bath, np.array([tau]))
-    return KernelValue(tau=tau, d_r=float(d_r[0]), d_i=float(d_i[0]))
-
-
-def dr_closed_array(bath: BathSpec, tau: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form D_R, used by the transient oracle."""
-    return _closed_pair(bath, tau)[0]
+    d_r = first + thermal
+    if tau.ndim == 0:
+        return float(d_r[0]), float(d_i[0])
+    return d_r, d_i
 
 
 def _cutoff_upper(bath: BathSpec, tol_abs: float) -> float:
@@ -175,11 +154,12 @@ def _w_coth(w: float, temperature: float) -> float:
     return w / math.tanh(x)
 
 
-def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> KernelValue:
-    """Adaptive quadrature of a defining integral (QAWO oscillatory weight).
+def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> tuple[float, float]:
+    """Adaptive quadrature of a defining integral (QAWO oscillatory weight):
+    (value, absolute error estimate).
 
     The error budget is _QUAD_TOL relative to the non-oscillatory envelope
-    int J coth dw; the returned ``abs_error_estimate`` is absolute.
+    int J coth dw.
     """
     from scipy.integrate import quad  # a large import that only the oracles need
 
@@ -205,7 +185,7 @@ def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> KernelValue:
     abs_tau = abs(tau)
     if abs_tau == 0.0:
         if kind == "di":
-            return KernelValue(tau=tau, d_i=0.0, abs_error_estimate=0.0)
+            return 0.0, 0.0
         val, err = quad(f, 0.0, upper, epsabs=0.5 * tol_abs, epsrel=1e-12, limit=400)
     else:
         res = quad(f, 0.0, upper, weight=weight, wvar=abs_tau,
@@ -221,16 +201,17 @@ def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> KernelValue:
             f"kernel quadrature error {err:.3e} exceeds budget {tol_abs:.3e}",
             estimate=val)
     if kind == "dr":
-        return KernelValue(tau=tau, d_r=val, abs_error_estimate=err)
-    return KernelValue(tau=tau, d_i=math.copysign(1.0, tau) * val,
-                       abs_error_estimate=err)
+        return val, err
+    return math.copysign(1.0, tau) * val, err
 
 
-def kernel_dr_numeric(bath: BathSpec, tau: float) -> KernelValue:
-    """D_R(tau) by adaptive quadrature of the defining integral."""
+def kernel_dr_numeric(bath: BathSpec, tau: float) -> tuple[float, float]:
+    """D_R(tau) and its absolute error estimate by adaptive quadrature of
+    the defining integral."""
     return _kernel_quad(bath, tau, "dr")
 
 
-def kernel_di_numeric(bath: BathSpec, tau: float) -> KernelValue:
-    """D_I(tau) by adaptive quadrature of the defining integral."""
+def kernel_di_numeric(bath: BathSpec, tau: float) -> tuple[float, float]:
+    """D_I(tau) and its absolute error estimate by adaptive quadrature of
+    the defining integral."""
     return _kernel_quad(bath, tau, "di")

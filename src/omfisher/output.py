@@ -28,7 +28,6 @@ from .errors import DomainError
 
 __all__ = [
     "MeasurementSpec",
-    "OutputCovariance2",
     "cavity_output_map",
     "output_map",
     "output_covariance",
@@ -57,13 +56,6 @@ class MeasurementSpec:
             raise DomainError("kappa_meas must be positive")
 
 
-@dataclass(frozen=True)
-class OutputCovariance2:
-    """2x2 symmetric covariance of the filtered output quadratures."""
-
-    matrix: np.ndarray
-
-
 def cavity_output_map(spec: MeasurementSpec) -> np.ndarray:
     """G = int_0^tau G(t') dt' = [[c, s], [-s, c]] with c = sin(W tau)/W and
     s = 2 sin^2(W tau/2)/W, the form of (1 - cos W tau)/W that keeps its
@@ -85,8 +77,9 @@ def output_map(block: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
     return (spec.kappa_meas / spec.window) * g_int @ np.asarray(block, dtype=float) @ g_int.T
 
 
-def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec) -> OutputCovariance2:
-    """Output covariance (kappa_meas/tau) G sigma_opt G^T + I.
+def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
+    """Output covariance (kappa_meas/tau) G sigma_opt G^T + I, the 2x2
+    symmetric covariance of the filtered output quadratures.
 
     At Omega_k = 0 this is kappa tau sigma_opt + I, evaluated in that form
     so the identity holds exactly.
@@ -96,11 +89,11 @@ def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec) -> OutputCov
         cav = spec.kappa_meas * spec.window * sigma_opt
     else:
         cav = output_map(sigma_opt, spec)
-    return OutputCovariance2(matrix=0.5 * (cav + cav.T) + np.eye(2))
+    return 0.5 * (cav + cav.T) + np.eye(2)
 
 
 def output_covariance_numeric(sigma_opt: np.ndarray,
-                              spec: MeasurementSpec) -> OutputCovariance2:
+                              spec: MeasurementSpec) -> np.ndarray:
     """Oracle: direct quadrature of the double-integral output covariance,
 
         (k/tau) int int G(t') sigma_opt G(s')^T dt' ds'
@@ -128,7 +121,7 @@ def output_covariance_numeric(sigma_opt: np.ndarray,
     vac = np.eye(2) * (float(np.dot(wt, cos_a * cos_a + sin_a * sin_a)) / tau)
 
     out = cavity + vac
-    return OutputCovariance2(matrix=0.5 * (out + out.T))
+    return 0.5 * (out + out.T)
 
 
 def homodyne_variance(sigma_out: np.ndarray, theta: float, eta: float) -> float:
@@ -143,16 +136,16 @@ def homodyne_variance(sigma_out: np.ndarray, theta: float, eta: float) -> float:
     return v
 
 
-def homodyne_pdf(sigma_out: OutputCovariance2 | np.ndarray, spec: MeasurementSpec, k):
-    """Probability density of balanced-homodyne outcomes.
+def homodyne_pdf(sigma_out: np.ndarray, theta: float, eta: float, k):
+    """Probability density of balanced-homodyne outcomes k at
+    local-oscillator phase theta and detector efficiency eta.
 
     Normalized Gaussian with variance v(theta, eta).  (A common
     transcription with prefactor (1/pi) sqrt(2 eta / V) integrates to
     1/sqrt(pi); this density is properly normalized, which leaves the CFI
     unchanged since log-derivatives kill constants.)
     """
-    sigma = sigma_out.matrix if isinstance(sigma_out, OutputCovariance2) else sigma_out
-    v = homodyne_variance(sigma, spec.theta, spec.eta)
+    v = homodyne_variance(sigma_out, theta, eta)
     k = np.asarray(k, dtype=float)
     val = np.exp(-k * k / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
     return float(val) if val.ndim == 0 else val

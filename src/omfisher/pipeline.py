@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "cavity_covariance",
     "output_state",
     "cavity_output_map",
-    "OutputPipeline",
     "cavity_dsigma_opt",
     "fisher_report",
 ]
@@ -52,7 +52,6 @@ class PipelineSettings:
     kappa_meas_mode: str = "kappa_total"  # or "kappa_in"
     branch: str | None = None
     derivative_method: str = "derivative-lyapunov"
-    fd_step: float | None = None
     # not a setting: the constant perfbench/checks.py:233 passes to
     # output_state; the follow-up of ROADMAP item 1 deletes both
     vacuum_mode: ClassVar[str] = "identity"
@@ -98,12 +97,12 @@ def cavity_covariance(params: SystemParams,
 
 def output_state(sigma_opt: np.ndarray, spec: MeasurementSpec,
                  vacuum: str = "identity"):
-    """``output_covariance`` under the name and signature that
-    perfbench/checks.py:233 calls; the follow-up of ROADMAP item 1 deletes
-    it with ``PipelineSettings.vacuum_mode``."""
+    """``output_covariance`` as the ``.matrix`` of a record, under the name
+    and signature that perfbench/checks.py:233 calls; the follow-up of
+    ROADMAP item 1 deletes it with ``PipelineSettings.vacuum_mode``."""
     if vacuum != "identity":
         raise DomainError(f"unknown vacuum convention {vacuum!r}")
-    return output_covariance(sigma_opt, spec)
+    return SimpleNamespace(matrix=output_covariance(sigma_opt, spec))
 
 
 def _sigma_opt(params: SystemParams, settings: PipelineSettings, g: float) -> np.ndarray:
@@ -112,20 +111,6 @@ def _sigma_opt(params: SystemParams, settings: PipelineSettings, g: float) -> np
     # quadratures only, leaving the optical block invariant
     cav = cavity_covariance(params.with_(g_freq=abs(g)), settings)
     return cav.covariance.optical_block
-
-
-class OutputPipeline:
-    """g -> output covariance matrix (the params -> sigma_out map)."""
-
-    def __init__(self, params: SystemParams, spec: MeasurementSpec,
-                 settings: PipelineSettings = PipelineSettings()):
-        self.params = params
-        self.spec = spec
-        self.settings = settings
-
-    def __call__(self, g: float) -> np.ndarray:
-        return output_covariance(_sigma_opt(self.params, self.settings, g),
-                                 self.spec).matrix
 
 
 def cavity_dsigma_opt(params: SystemParams,
@@ -142,8 +127,7 @@ def cavity_dsigma_opt(params: SystemParams,
             params, settings, cavity or cavity_covariance(params, settings))
     if settings.derivative_method != "finite-difference":
         raise DomainError(f"unknown derivative method {settings.derivative_method!r}")
-    return _fisher.dsigma_dg(lambda g: _sigma_opt(params, settings, g), params.g_freq,
-                             h=settings.fd_step)
+    return _fisher.dsigma_dg(lambda g: _sigma_opt(params, settings, g), params.g_freq)
 
 
 def _steady_derivatives(params: SystemParams, ss: SteadyState):
@@ -223,7 +207,7 @@ def fisher_report(params: SystemParams, spec: MeasurementSpec,
     if dsigma_opt is None:
         dsigma_opt = cavity_dsigma_opt(params, settings, cavity)
 
-    sigma_out = output_covariance(cavity.covariance.optical_block, spec).matrix
+    sigma_out = output_covariance(cavity.covariance.optical_block, spec)
     dsigma_out = output_map(dsigma_opt, spec)
 
     tm = theta_max(sigma_out, dsigma_out, eta=spec.eta)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 
 from . import __version__ as _version
@@ -160,6 +162,16 @@ def render_json(metadata: dict, rows: list[SweepRow]) -> str:
     }
     return json.dumps(_finite_or_null(payload), sort_keys=True, indent=1,
                       allow_nan=False) + "\n"
+
+
+def check_writable(path: str) -> None:
+    """Raise ``write_rows``' error for ``path`` before a sweep runs if no
+    file can be made in its directory; nothing is created at ``path``."""
+    try:
+        with tempfile.TemporaryFile(dir=os.path.dirname(path) or "."):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 def write_rows(path: str, metadata: dict, rows: list[SweepRow], fmt: str) -> None:

@@ -21,18 +21,16 @@ import numpy as np
 from .constants import TWO_PI
 from .errors import OmfisherError
 from .fisher import cfi_bhd, fd_step, qfi_gaussian, theta_max
-from .kernels import BathSpec, kernel_di_numeric, kernel_dr, kernel_dr_numeric
+from .kernels import BathSpec, kernel_closed, kernel_di_numeric, kernel_dr_numeric
 from .dynamics import brownian_diffusion_freq, drift_matrix, transient_covariance
 from .oracle import cfi_numeric, qfi_fock_converged
-from .output import MeasurementSpec, homodyne_variance, output_covariance, \
+from .output import MeasurementSpec, homodyne_pdf, output_covariance, \
     output_covariance_numeric, output_map
 from .params import rossi_params, steady_state
-from .pipeline import (OutputPipeline, PipelineSettings, build_measurement,
-                       cavity_covariance, cavity_dsigma_opt)
+from .pipeline import (PipelineSettings, build_measurement, cavity_covariance,
+                       cavity_dsigma_opt, _sigma_opt)
 
 __all__ = ["CheckResult", "validate", "SUITES"]
-
-SUITES = ("kernels", "lyapunov", "transient", "output", "qfi", "cfi")
 
 _SETTINGS = PipelineSettings()
 _FD_SETTINGS = PipelineSettings(derivative_method="finite-difference")
@@ -59,13 +57,12 @@ def _suite_kernels(tol: float) -> list[CheckResult]:
                         cutoff=base.cutoff)
         for x in (0.01, 0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 100.0):
             tau = x / bath.cutoff
-            closed = kernel_dr(bath, tau)
-            dr_c, di_c = closed.d_r, closed.d_i
-            dr_n = kernel_dr_numeric(bath, tau).d_r
+            dr_c, di_c = kernel_closed(bath, tau)
+            dr_n = kernel_dr_numeric(bath, tau)[0]
             rel = abs(dr_c - dr_n) / max(abs(dr_n), 1e-300)
             if rel > worst:
                 worst, worst_at = rel, f"D_R at tau*W={x}, T={temp}"
-            di_n = kernel_di_numeric(bath, tau).d_i
+            di_n = kernel_di_numeric(bath, tau)[0]
             scale = max(abs(di_n), abs(dr_n) * 1e-6)
             rel = abs(di_c - di_n) / max(scale, 1e-300)
             if rel > worst:
@@ -166,14 +163,14 @@ def _suite_output(tol: float) -> list[CheckResult]:
     for phase in (0.0, 1.57, 3.3, 7.0, 11.0):
         for kt in (0.1, 0.5, 1.0, 3.16, 10.0):
             spec = MeasurementSpec(omega_k=phase, window=1.0, kappa_meas=kt)
-            closed = output_covariance(sigma, spec).matrix
-            numeric = output_covariance_numeric(sigma, spec).matrix
+            closed = output_covariance(sigma, spec)
+            numeric = output_covariance_numeric(sigma, spec)
             rel = np.linalg.norm(closed - numeric) / np.linalg.norm(closed)
             worst = max(worst, float(rel))
     results = [CheckResult("output", "closed form vs double integral",
                            worst <= tol, worst, tol)]
     spec0 = MeasurementSpec(omega_k=0.0, window=0.7, kappa_meas=2.0)
-    closed0 = output_covariance(sigma, spec0).matrix
+    closed0 = output_covariance(sigma, spec0)
     exact0 = spec0.kappa_meas * spec0.window * sigma + np.eye(2)
     dev = float(np.max(np.abs(closed0 - exact0)))
     results.append(CheckResult("output", "Omega_k=0 reduction k*tau*sigma + 1",
@@ -182,13 +179,16 @@ def _suite_output(tol: float) -> list[CheckResult]:
 
 
 def _rossi_output_state():
+    """(g0, sigma_out, d sigma_out/dg, g -> sigma_out) at the baseline point,
+    the family with every parameter but g frozen."""
     p = rossi_params()
     cav = cavity_covariance(p, _SETTINGS)
     dso = cavity_dsigma_opt(p, _SETTINGS, cav)
     spec = build_measurement(p, omega_k=0.0, settings=_SETTINGS)
-    sig = output_covariance(cav.covariance.optical_block, spec).matrix
+    sig = output_covariance(cav.covariance.optical_block, spec)
     dsig = output_map(dso, spec)
-    return p, spec, sig, dsig
+    return (p.g_freq, sig, dsig,
+            lambda g: output_covariance(_sigma_opt(p, _SETTINGS, g), spec))
 
 
 def _suite_qfi(tol: float) -> list[CheckResult]:
@@ -223,9 +223,8 @@ def _suite_qfi(tol: float) -> list[CheckResult]:
                                rel <= tol, rel, tol, f"truncation drift {drift:.1e}"))
 
     # baseline output state: the full pipeline family
-    p, spec, sig, dsig = _rossi_output_state()
-    pipe = OutputPipeline(p, spec, _SETTINGS)
-    fock, drift = qfi_fock_converged(pipe, p.g_freq, h=fd_step(p.g_freq))
+    g0, sig, dsig, pipe = _rossi_output_state()
+    fock, drift = qfi_fock_converged(pipe, g0, h=fd_step(g0))
     formula = qfi_gaussian(sig, dsig)
     rel = abs(formula - fock) / abs(fock)
     results.append(CheckResult(
@@ -237,9 +236,7 @@ def _suite_qfi(tol: float) -> list[CheckResult]:
 
 def _suite_cfi(tol: float) -> list[CheckResult]:
     results = []
-    p, spec, sig, dsig = _rossi_output_state()
-    pipe = OutputPipeline(p, spec, _SETTINGS)
-    g0 = p.g_freq
+    g0, sig, dsig, pipe = _rossi_output_state()
     h = 1e-4 * g0
     sig_m, sig_p = pipe(g0 - h), pipe(g0 + h)
     dsig_fd = (sig_p - sig_m) / (2.0 * h)
@@ -254,8 +251,7 @@ def _suite_cfi(tol: float) -> list[CheckResult]:
                 s = sig_p
             else:
                 s = pipe(g)
-            v = homodyne_variance(s, theta, eta)
-            return lambda k: np.exp(-k * k / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+            return lambda k: homodyne_pdf(s, theta, eta, k)
         return fam
 
     worst = 0.0
@@ -290,35 +286,26 @@ def _suite_cfi(tol: float) -> list[CheckResult]:
     return results
 
 
-_DEFAULT_TOLS = {
-    "kernels": 1e-6,
-    "lyapunov": 1e-10,
-    "transient": 1e-6,
-    "output": 1e-8,
-    "qfi": 1e-3,
-    "cfi": 1e-6,
-}
-
+# suite -> (runner, tolerance)
 _RUNNERS = {
-    "kernels": _suite_kernels,
-    "lyapunov": _suite_lyapunov,
-    "transient": _suite_transient,
-    "output": _suite_output,
-    "qfi": _suite_qfi,
-    "cfi": _suite_cfi,
+    "kernels": (_suite_kernels, 1e-6),
+    "lyapunov": (_suite_lyapunov, 1e-10),
+    "transient": (_suite_transient, 1e-6),
+    "output": (_suite_output, 1e-8),
+    "qfi": (_suite_qfi, 1e-3),
+    "cfi": (_suite_cfi, 1e-6),
 }
+SUITES = tuple(_RUNNERS)
 
 
-def validate(only: list[str] | None = None,
-             tolerance_overrides: dict | None = None) -> list[CheckResult]:
+def validate(only: list[str] | None = None) -> list[CheckResult]:
     """Run oracle suites; returns one CheckResult per check."""
     names = list(SUITES) if not only else list(only)
     unknown = [n for n in names if n not in _RUNNERS]
     if unknown:
         raise OmfisherError(f"unknown validate suites {unknown}; available: {SUITES}")
-    overrides = tolerance_overrides or {}
     results = []
     for name in names:
-        tol = overrides.get(name, _DEFAULT_TOLS[name])
-        results.extend(_RUNNERS[name](tol))
+        runner, tol = _RUNNERS[name]
+        results.extend(runner(tol))
     return results

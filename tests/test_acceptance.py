@@ -45,7 +45,7 @@ def fisher_point(params, omega_k=0.0, settings=SETTINGS):
     cav = cavity_covariance(params, settings)
     dso = cavity_dsigma_opt(params, settings)
     spec = build_measurement(params, omega_k=omega_k, settings=settings)
-    sigma = output_covariance(cav.covariance.optical_block, spec).matrix
+    sigma = output_covariance(cav.covariance.optical_block, spec)
     dsigma = output_map(dso, spec)
     return sigma, dsigma
 

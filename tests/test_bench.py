@@ -93,3 +93,17 @@ def test_perfbench_grades_a_sweep(monkeypatch, sweep):
                                 np.random.default_rng(1), 1)
     assert grade.attempted == 3 and grade.oracle_checked == 1
     assert grade.correct and grade.failed == 0, grade.failures
+
+
+def test_perfbench_grades_validate(monkeypatch):
+    """validate() lines graded the way perfbench grades its oracle_validate
+    workload are correct with no failed check, and every measured value is
+    a Python float."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    checks = importlib.import_module("checks")
+    from omfisher.validate import validate
+    results = validate(only=["kernels", "output", "cfi"])
+    assert all(type(r.measured) is float for r in results)
+    grade = checks.grade_validate(results)
+    assert grade.attempted == len(results) == 5
+    assert grade.correct and grade.failed == 0, grade.failures

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import omfisher.validate as validate_module
+from omfisher import cli
 from omfisher.cli import main
 from omfisher.config import (PRESETS, SWITCHES, RunConfig, SweepSpec, apply_preset,
                              load_config)
 from omfisher.constants import TWO_PI
-from omfisher.errors import ConfigError
+from omfisher.errors import ConfigError, OmfisherError
 from omfisher.params import rossi_params
 from omfisher.pipeline import PipelineSettings
 from omfisher.sweep import ROW_FIELDS, render_csv, run_sweep
@@ -342,13 +344,33 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().strip().split("\n")[-1].startswith("1,")
 
-    def test_unwritable_output_path_exit_code(self, tmp_path, capsys):
+    def test_unwritable_output_path_exit_code(self, tmp_path, capsys, monkeypatch):
         """An output path that cannot be written is a configuration error
-        naming the path (exit 2), not a traceback."""
+        naming the path (exit 2), not a traceback, and is found before any
+        point runs."""
+        def no_sweep(cfg):
+            pytest.fail("run_sweep called for an unwritable output path")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
         out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert main(["sweep", "--preset", "fig4d", "--out", out]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and out in err
+        assert "No such file or directory" in err
+
+    def test_failed_sweep_leaves_output_file(self, tmp_path, monkeypatch):
+        """The output file is neither created nor truncated before the rows
+        are written."""
+        def failing_sweep(cfg):
+            raise OmfisherError("point failed")
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("earlier rows\n")
+        for out in (old, new):
+            assert main(["sweep", "--preset", "fig4d", "--out", str(out)]) == 1
+        assert old.read_text() == "earlier rows\n"
+        assert not new.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -439,8 +461,10 @@ class TestCli:
         assert "kernels" in out
         assert "lyapunov" not in out
 
-    def test_validate_corrupted_tolerance_fails(self):
-        results = validate(only=["kernels"], tolerance_overrides={"kernels": 0.0})
+    def test_validate_corrupted_tolerance_fails(self, monkeypatch):
+        monkeypatch.setitem(validate_module._RUNNERS, "kernels",
+                            (validate_module._suite_kernels, 0.0))
+        results = validate(only=["kernels"])
         assert any(not r.passed for r in results)
 
     def test_validate_unknown_suite(self, capsys):

@@ -70,7 +70,6 @@ class TestDiffusionMatrix:
         p, _, _, d = rossi_point
         assert d.matrix_scaled[2, 2] == pytest.approx(p.kappa / 2.0, rel=1e-12)
         assert d.matrix_scaled[3, 3] == pytest.approx(p.kappa / 2.0, rel=1e-12)
-        assert d.matrix[2, 2] == pytest.approx(p.kappa / 2.0, rel=1e-12)
 
     def test_symmetry(self, rossi_point):
         _, _, _, d = rossi_point

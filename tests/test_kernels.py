@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omfisher.errors import DomainError
-from omfisher.kernels import (BathSpec, kernel_di_numeric, kernel_dr,
+from omfisher.kernels import (BathSpec, kernel_closed, kernel_di_numeric,
                               kernel_dr_numeric, spectral_density, trigamma)
 from omfisher.params import rossi_params
 
@@ -85,11 +85,11 @@ class TestTrigamma:
 
 class TestKernels:
     def test_di_zero_lag(self, bath):
-        assert kernel_dr(bath, 0.0).d_i == 0.0
+        assert kernel_closed(bath, 0.0)[1] == 0.0
 
     def test_dr_parity(self, bath):
         tau = 0.3 / bath.cutoff
-        assert kernel_dr(bath, tau).d_r == kernel_dr(bath, -tau).d_r
+        assert kernel_closed(bath, tau)[0] == kernel_closed(bath, -tau)[0]
 
     @given(st.floats(min_value=0.005, max_value=50.0))
     @settings(max_examples=25, deadline=None)
@@ -98,33 +98,52 @@ class TestKernels:
         bath = BathSpec(mass=p.mass, gamma=p.gamma, temperature=p.temperature,
                         cutoff=p.cutoff)
         tau = x / bath.cutoff
-        assert kernel_dr(bath, tau).d_r == pytest.approx(
-            kernel_dr(bath, -tau).d_r, rel=1e-14)
-        assert kernel_dr(bath, tau).d_i == pytest.approx(
-            -kernel_dr(bath, -tau).d_i, rel=1e-14)
+        assert kernel_closed(bath, tau)[0] == pytest.approx(
+            kernel_closed(bath, -tau)[0], rel=1e-14)
+        assert kernel_closed(bath, tau)[1] == pytest.approx(
+            -kernel_closed(bath, -tau)[1], rel=1e-14)
 
     def test_closed_vs_quadrature_both_roles(self, bath):
         """Closed form and quadrature agree with either as reference."""
         tau = 1.0 / bath.cutoff
-        dr_c = kernel_dr(bath, tau).d_r
-        dr_n = kernel_dr_numeric(bath, tau)
-        assert dr_c == pytest.approx(dr_n.d_r, rel=1e-6)
-        assert dr_n.abs_error_estimate is not None
-        di_c = kernel_dr(bath, tau).d_i
-        di_n = kernel_di_numeric(bath, tau)
-        assert di_c == pytest.approx(di_n.d_i, rel=1e-6)
+        dr_c, di_c = kernel_closed(bath, tau)
+        dr_n, dr_err = kernel_dr_numeric(bath, tau)
+        assert dr_c == pytest.approx(dr_n, rel=1e-6)
+        assert math.isfinite(dr_err) and dr_err > 0.0
+        di_n, _ = kernel_di_numeric(bath, tau)
+        assert di_c == pytest.approx(di_n, rel=1e-6)
+
+    @pytest.mark.parametrize("temperature", [0.0, 11.0])
+    def test_array_equals_scalar_calls(self, temperature):
+        """One call on an array of lags gives bitwise the scalar calls, as
+        Python floats at one lag."""
+        p = rossi_params()
+        bath = BathSpec(p.mass, p.gamma, temperature, p.cutoff)
+        taus = np.linspace(-3.0, 40.0, 37) / bath.cutoff
+        d_r, d_i = kernel_closed(bath, taus)
+        for j, tau in enumerate(taus):
+            pair = kernel_closed(bath, float(tau))
+            assert all(type(v) is float for v in pair)
+            assert pair == (d_r[j], d_i[j])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lag_rejected(self, bath, bad):
+        taus = np.array([0.0, bad, 1.0]) / bath.cutoff
+        for tau in (taus, bad):
+            with pytest.raises(DomainError):
+                kernel_closed(bath, tau)
 
     def test_numeric_negative_tau_parity(self, bath):
         tau = 0.7 / bath.cutoff
-        assert kernel_di_numeric(bath, -tau).d_i == pytest.approx(
-            -kernel_di_numeric(bath, tau).d_i, rel=1e-10)
+        assert kernel_di_numeric(bath, -tau)[0] == pytest.approx(
+            -kernel_di_numeric(bath, tau)[0], rel=1e-10)
 
     def test_high_temperature_linearity(self):
         p = rossi_params()
         for temp in (100.0, 200.0):
             b1 = BathSpec(p.mass, p.gamma, temp, p.cutoff)
             b2 = BathSpec(p.mass, p.gamma, 2 * temp, p.cutoff)
-            ratio = kernel_dr(b2, 0.0).d_r / kernel_dr(b1, 0.0).d_r
+            ratio = kernel_closed(b2, 0.0)[0] / kernel_closed(b1, 0.0)[0]
             assert ratio == pytest.approx(2.0, rel=0.01)
 
     def test_zero_temperature_limit_continuity(self):
@@ -132,20 +151,20 @@ class TestKernels:
         p = rossi_params()
         b0 = BathSpec(p.mass, p.gamma, 0.0, p.cutoff)
         b1 = BathSpec(p.mass, p.gamma, 1e-9, p.cutoff)
-        scale = abs(kernel_dr(b0, 0.0).d_r)
+        scale = abs(kernel_closed(b0, 0.0)[0])
         for x in (0.0, 0.4, 3.0):
             tau = x / p.cutoff
-            assert abs(kernel_dr(b0, tau).d_r - kernel_dr(b1, tau).d_r) \
+            assert abs(kernel_closed(b0, tau)[0] - kernel_closed(b1, tau)[0]) \
                 <= 1e-8 * scale
 
     def test_zero_temperature_against_quadrature(self):
         p = rossi_params()
         b0 = BathSpec(p.mass, p.gamma, 0.0, p.cutoff)
-        scale = abs(kernel_dr(b0, 0.0).d_r)
+        scale = abs(kernel_closed(b0, 0.0)[0])
         for x in (0.3, 2.0):
             tau = x / p.cutoff
-            c = kernel_dr(b0, tau).d_r
-            n = kernel_dr_numeric(b0, tau).d_r
+            c = kernel_closed(b0, tau)[0]
+            n = kernel_dr_numeric(b0, tau)[0]
             assert abs(c - n) <= 1e-6 * scale
 
     def test_bath_validation(self):
