@@ -60,7 +60,6 @@ def _stages(n: int) -> dict:
 
     p = rossi_params()
     default = PipelineSettings()
-    implicit = PipelineSettings(derivative_method="derivative-lyapunov")
     fd = PipelineSettings(derivative_method="finite-difference")
     ss = steady_state(p)
     d = diffusion_matrix(p, drift_matrix(p, ss))
@@ -88,8 +87,8 @@ def _stages(n: int) -> dict:
             (lambda a: stationary_covariance(a, d), decomposed_drift),
         "cavity_covariance": (lambda _: cavity_covariance(p, default), None),
         "coupling derivative, implicit Lyapunov":
-            (lambda c: cavity_dsigma_opt(p, implicit, c),
-             lambda: cavity_covariance(p, implicit)),
+            (lambda c: cavity_dsigma_opt(p, default, c),
+             lambda: cavity_covariance(p, default)),
         "coupling derivative, Richardson FD":
             (lambda c: cavity_dsigma_opt(p, fd, c), lambda: cavity_covariance(p, fd)),
         "output map (sigma_out and d sigma_out)": (output_stage, None),

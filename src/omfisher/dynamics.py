@@ -4,9 +4,8 @@ Everything is solved in an internally nondimensionalized basis where the
 mechanical quadratures are measured in zero-point units
 (x_zp = sqrt(hbar/(2 m omega_m)), p_zp = sqrt(hbar m omega_m / 2)); raw SI
 drift entries span ~30 orders of magnitude and would wreck conditioning.
-The drift matrix keeps its SI form and the diagonal scale vector beside the
-scaled one; the diffusion and covariance matrices exist only in the scaled
-basis, where the optical block is the same as in SI units.
+The drift, diffusion and covariance matrices exist only in the scaled basis,
+where the optical block is the same as in SI units.
 
 The diffusion matrix is
 
@@ -38,7 +37,7 @@ from scipy.special import exp1, zeta
 from .constants import HBAR, KB
 from .errors import (DegenerateLyapunovError, NumericalError, QuadratureError,
                      UnstableDriftError)
-from .kernels import BathSpec, _w_coth, kernel_closed
+from .kernels import _w_coth, kernel_closed
 from .params import SteadyState, SystemParams
 
 __all__ = [
@@ -60,6 +59,8 @@ _E1 = np.array([0.0, 1.0, 0.0, 0.0])
 _TRANSIENT_PERIODS = 2000
 _TRANSIENT_NODES = 7
 _MAX_TERMS = 1 << 16
+# relative error budget of the Brownian diffusion
+_DIFFUSION_TOL = 1e-7
 # Taylor coefficients zeta(2k+2)/pi^(2k+2) of brownian_laplace's h(y) in y^2
 _H_TAYLOR = zeta(2.0 * np.arange(1, 13)) / np.pi ** (2.0 * np.arange(1, 13))
 # coefficients (-1)^m (2m)! and (-1)^m (2m+1)! of the series of f and g in 1/z^2
@@ -69,13 +70,11 @@ _G_ASYM = np.array([(-1.0) ** m * math.factorial(2 * m + 1) for m in range(18)])
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Drift matrix over (dq, dp, dX, dY); SI and scaled forms, and the
-    spectrum and the Lyapunov operator of the scaled form, each decomposed
-    once on first use."""
+    """Drift matrix over (dq, dp, dX, dY) in zero-point mechanical units,
+    with its spectrum and Lyapunov operator, each decomposed once on first
+    use."""
 
-    matrix: np.ndarray         # SI units
-    matrix_scaled: np.ndarray  # zero-point mechanical units
-    scale: np.ndarray          # diag vector s: M_SI = S M_scaled S for cov/diffusion
+    matrix_scaled: np.ndarray
 
     @cached_property
     def spectrum(self):
@@ -155,17 +154,17 @@ def drift_matrix(params: SystemParams, ss: SteadyState) -> DriftMatrix:
     a[3, 2] = -delta
     a[3, 0] = math.sqrt(2.0) * gsi * alpha
 
+    # built in SI and then rescaled, not written in closed form: this order
+    # of rounding fixes every output bit; only the scaled form is kept
     x_zp = math.sqrt(HBAR / (2.0 * m * wm))
     p_zp = math.sqrt(HBAR * m * wm / 2.0)
     scale = np.array([x_zp, p_zp, 1.0, 1.0])
-    a_scaled = (a / scale[:, None]) * scale[None, :]
-    return DriftMatrix(matrix=a, matrix_scaled=a_scaled, scale=scale)
+    return DriftMatrix(matrix_scaled=(a / scale[:, None]) * scale[None, :])
 
 
 def _scaled_kernel(params: SystemParams, tau: np.ndarray) -> np.ndarray:
     """hbar*D_R(tau) expressed in zero-point momentum units: 2 D_R/(m omega_m)."""
-    bath = BathSpec.from_params(params)
-    return kernel_closed(bath, tau)[0] * (2.0 / (params.mass * params.omega_m))
+    return kernel_closed(params, tau)[0] * (2.0 / (params.mass * params.omega_m))
 
 
 def _tau_grid(params: SystemParams):
@@ -221,15 +220,15 @@ def _truncation_bound(params: SystemParams, n: int, amod):
             3.0 * math.pi ** 5 * params.omega_m * n ** 3 * w_t ** 3 * (1.0 - r2))
 
 
-def _matsubara_terms(params: SystemParams, tol: float) -> int:
+def _matsubara_terms(params: SystemParams) -> int:
     """Smallest power of two whose truncation bound at |lambda| = 2 a_max,
-    relative to ||D|| >= kappa/sqrt 2, is tol/10 (margin for the weights
-    |V c|).  a_max bounds the drift rates from static parameters, not the
-    eigenvalues at the point, so the count is the same at g and g +- h."""
+    relative to ||D|| >= kappa/sqrt 2, is _DIFFUSION_TOL/10 (margin for the
+    weights |V c|).  a_max bounds the drift rates from static parameters, not
+    the eigenvalues at the point, so the count is the same at g and g +- h."""
     a_max = params.omega_m + params.gamma + params.kappa + abs(params.delta0)
     n = 1
     while (rel := 2.0 ** 1.5 / params.kappa
-           * _truncation_bound(params, n, 2.0 * a_max)) > 0.1 * tol:
+           * _truncation_bound(params, n, 2.0 * a_max)) > 0.1 * _DIFFUSION_TOL:
         if 2 * n > _MAX_TERMS:
             raise QuadratureError(
                 f"T = {params.temperature:.3e} K: Matsubara truncation bound "
@@ -238,7 +237,7 @@ def _matsubara_terms(params: SystemParams, tol: float) -> int:
     return n
 
 
-def brownian_laplace(params: SystemParams, lam, tol: float = 1e-7):
+def brownian_laplace(params: SystemParams, lam):
     """L(lambda) = int_0^inf k(tau) e^(lambda tau) dtau, k = hbar*D_R in
     zero-point momentum units, Re lambda < 0, in closed form.
 
@@ -259,7 +258,7 @@ def brownian_laplace(params: SystemParams, lam, tol: float = 1e-7):
     if params.temperature == 0.0:
         return pref * a * g, pref * (1.0 - g - z * f), np.zeros(a.shape)
     w_t = 2.0 * KB * params.temperature / HBAR
-    n = _matsubara_terms(params, tol)
+    n = _matsubara_terms(params)
     nu = math.pi * w_t * np.arange(1, n + 1)
     t = nu * _aux_fg(nu / W, with_g=False)[0].real - W
     den = nu ** 2 - (a * a)[:, None]
@@ -276,8 +275,7 @@ def brownian_laplace(params: SystemParams, lam, tol: float = 1e-7):
             _truncation_bound(params, n, np.abs(a)))
 
 
-def diffusion_matrix(params: SystemParams, a: DriftMatrix,
-                     tol: float = 1e-7) -> DiffusionMatrix:
+def diffusion_matrix(params: SystemParams, a: DriftMatrix) -> DiffusionMatrix:
     """Assemble D: optical delta part plus the Brownian part.
 
     The half-weight endpoint convention for the delta noise puts exactly
@@ -292,7 +290,7 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix,
     lam, vec, c, cond = a.spectrum
     lap = dlap = None
     if cond < 1e10:
-        lap, dlap, bound = brownian_laplace(params, lam, tol)
+        lap, dlap, bound = brownian_laplace(params, lam)
         u = np.real(vec @ (c * lap))
         brown = np.outer(_E1, u) + np.outer(u, _E1)
         err_abs = float(np.max(np.abs(vec) @ (np.abs(c) * bound)))
@@ -304,9 +302,10 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix,
     d_scaled = 0.5 * (d_scaled + d_scaled.T)
 
     rel_err = 2.0 * err_abs / (float(np.linalg.norm(d_scaled)) + 1e-300)
-    if not rel_err <= tol:
+    if not rel_err <= _DIFFUSION_TOL:
         raise QuadratureError(
-            f"Brownian diffusion ({path}) error {rel_err:.3e} exceeds tol {tol:.3e}",
+            f"Brownian diffusion ({path}) error {rel_err:.3e} exceeds tol "
+            f"{_DIFFUSION_TOL:.3e}",
             estimate=rel_err)
 
     return DiffusionMatrix(matrix_scaled=d_scaled, error_estimate=rel_err,

@@ -1,4 +1,5 @@
-"""Ohmic bath spectral density and non-Markovian Brownian kernels.
+"""Non-Markovian Brownian kernels of the ohmic bath whose mass, damping,
+temperature and cutoff ``SystemParams`` holds.
 
 The symmetric kernel D_R and antisymmetric kernel D_I are defined by
 
@@ -14,16 +15,14 @@ against adaptive quadrature of the defining integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR, KB
 from .errors import DomainError, QuadratureError
+from .params import SystemParams
 
 __all__ = [
-    "BathSpec",
-    "spectral_density",
     "trigamma",
     "kernel_closed",
     "kernel_dr_numeric",
@@ -39,37 +38,6 @@ _BERNOULLI = (
     -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
     -174611.0 / 330.0,
 )
-
-
-@dataclass(frozen=True)
-class BathSpec:
-    """Mechanical bath: mass [kg], damping gamma [rad/s], temperature [K],
-    cutoff [rad/s]."""
-
-    mass: float
-    gamma: float
-    temperature: float
-    cutoff: float
-
-    def __post_init__(self):
-        if self.mass <= 0 or self.gamma <= 0 or self.cutoff <= 0:
-            raise DomainError("mass, gamma and cutoff must be positive")
-        if self.temperature < 0:
-            raise DomainError("temperature must be non-negative")
-
-    @classmethod
-    def from_params(cls, params) -> "BathSpec":
-        return cls(mass=params.mass, gamma=params.gamma,
-                   temperature=params.temperature, cutoff=params.cutoff)
-
-
-def spectral_density(bath: BathSpec, omega):
-    """Ohmic spectral density with exponential cutoff, (2 m gamma/pi) w e^(-w/W)."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise DomainError("spectral density defined for omega >= 0")
-    value = (2.0 * bath.mass * bath.gamma / math.pi) * omega * np.exp(-omega / bath.cutoff)
-    return float(value) if value.ndim == 0 else value
 
 
 def trigamma(z):
@@ -101,13 +69,13 @@ def trigamma(z):
     return complex(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
-def kernel_closed(bath: BathSpec, tau):
+def kernel_closed(params: SystemParams, tau):
     """Closed-form symmetric kernel D_R(tau) and antisymmetric kernel
     D_I(tau), as floats at one lag or as arrays on an array of lags."""
     tau = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(tau)):
         raise DomainError("tau must be finite")
-    m, g, T, W = bath.mass, bath.gamma, bath.temperature, bath.cutoff
+    m, g, T, W = params.mass, params.gamma, params.temperature, params.cutoff
     pref = 2.0 * m * g / math.pi
     x = W * np.atleast_1d(tau)
     den = (x * x + 1.0) ** 2
@@ -127,9 +95,9 @@ def kernel_closed(bath: BathSpec, tau):
     return d_r, d_i
 
 
-def _cutoff_upper(bath: BathSpec, tol_abs: float) -> float:
+def _cutoff_upper(params: SystemParams, tol_abs: float) -> float:
     """Upper integration bound with analytic tail below tol_abs."""
-    m, g, T, W = bath.mass, bath.gamma, bath.temperature, bath.cutoff
+    m, g, T, W = params.mass, params.gamma, params.temperature, params.cutoff
     pref = 2.0 * m * g / math.pi
     upper = 40.0 * W
     for _ in range(30):
@@ -154,7 +122,7 @@ def _w_coth(w: float, temperature: float) -> float:
     return w / math.tanh(x)
 
 
-def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> tuple[float, float]:
+def _kernel_quad(params: SystemParams, tau: float, kind: str) -> tuple[float, float]:
     """Adaptive quadrature of a defining integral (QAWO oscillatory weight):
     (value, absolute error estimate).
 
@@ -165,7 +133,7 @@ def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> tuple[float, float]:
 
     if not math.isfinite(tau):
         raise DomainError("tau must be finite")
-    m, g, T, W = bath.mass, bath.gamma, bath.temperature, bath.cutoff
+    m, g, T, W = params.mass, params.gamma, params.temperature, params.cutoff
     pref = 2.0 * m * g / math.pi
 
     if kind == "dr":
@@ -180,7 +148,7 @@ def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> tuple[float, float]:
     scale, _ = quad(f, 0.0, 20.0 * W, limit=200)
     scale = abs(scale) + 1e-300
     tol_abs = _QUAD_TOL * scale
-    upper = _cutoff_upper(bath, 0.25 * tol_abs)
+    upper = _cutoff_upper(params, 0.25 * tol_abs)
 
     abs_tau = abs(tau)
     if abs_tau == 0.0:
@@ -205,13 +173,13 @@ def _kernel_quad(bath: BathSpec, tau: float, kind: str) -> tuple[float, float]:
     return math.copysign(1.0, tau) * val, err
 
 
-def kernel_dr_numeric(bath: BathSpec, tau: float) -> tuple[float, float]:
+def kernel_dr_numeric(params: SystemParams, tau: float) -> tuple[float, float]:
     """D_R(tau) and its absolute error estimate by adaptive quadrature of
     the defining integral."""
-    return _kernel_quad(bath, tau, "dr")
+    return _kernel_quad(params, tau, "dr")
 
 
-def kernel_di_numeric(bath: BathSpec, tau: float) -> tuple[float, float]:
+def kernel_di_numeric(params: SystemParams, tau: float) -> tuple[float, float]:
     """D_I(tau) and its absolute error estimate by adaptive quadrature of
     the defining integral."""
-    return _kernel_quad(bath, tau, "di")
+    return _kernel_quad(params, tau, "di")

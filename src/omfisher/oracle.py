@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _SLD_EPS = 1e-12
+# largest relative QFI change allowed under the n_max -> n_max + 20 bump
+_FOCK_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,11 @@ def qfi_fock(rho_minus: FockState, rho_plus: FockState, h: float) -> float:
 
 
 def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,
-                       h: float, n_max: int | None = None,
-                       rtol: float = 1e-4) -> tuple[float, float]:
+                       h: float, n_max: int | None = None) -> tuple[float, float]:
     """QFI with an n_max -> n_max + 20 stability check.
 
     Returns (qfi, relative change under the truncation bump); raises
-    ConvergenceError when the bump moves the value by more than ``rtol``.
+    ConvergenceError when the bump moves the value by more than _FOCK_RTOL.
     """
     s_minus = np.asarray(sigma_of_g(g - h), dtype=float)
     s_plus = np.asarray(sigma_of_g(g + h), dtype=float)
@@ -198,15 +199,15 @@ def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,
         rp = gaussian_to_fock(s_plus, n)
         vals.append(qfi_fock(rm, rp, h))
     drift = abs(vals[1] - vals[0]) / max(abs(vals[1]), 1e-300)
-    if drift > rtol:
+    if drift > _FOCK_RTOL:
         raise ConvergenceError(
-            f"Fock QFI not truncation-converged: {drift:.2e} > {rtol:.0e}",
+            f"Fock QFI not truncation-converged: {drift:.2e} > {_FOCK_RTOL:.0e}",
             details={"n_max": n_max, "values": vals})
     return vals[1], drift
 
 
 def cfi_numeric(pdf_family: Callable[[float], Callable[[np.ndarray], np.ndarray]],
-                g: float, h: float, tol: float = 1e-10) -> float:
+                g: float, h: float) -> float:
     """Classical Fisher information of a pdf family by direct quadrature.
 
     ``pdf_family(g)`` returns a normalized density over the outcome axis.

@@ -165,8 +165,11 @@ def render_json(metadata: dict, rows: list[SweepRow]) -> str:
 
 
 def check_writable(path: str) -> None:
-    """Raise ``write_rows``' error for ``path`` before a sweep runs if no
-    file can be made in its directory; nothing is created at ``path``."""
+    """Raise ``write_rows``' error for ``path`` before a sweep runs if it
+    is a directory or no file can be made in its directory; nothing is
+    created at ``path``."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output file {path}: Is a directory")
     try:
         with tempfile.TemporaryFile(dir=os.path.dirname(path) or "."):
             pass

@@ -21,7 +21,7 @@ import numpy as np
 from .constants import TWO_PI
 from .errors import OmfisherError
 from .fisher import cfi_bhd, fd_step, qfi_gaussian, theta_max
-from .kernels import BathSpec, kernel_closed, kernel_di_numeric, kernel_dr_numeric
+from .kernels import kernel_closed, kernel_di_numeric, kernel_dr_numeric
 from .dynamics import brownian_diffusion_freq, drift_matrix, transient_covariance
 from .oracle import cfi_numeric, qfi_fock_converged
 from .output import MeasurementSpec, homodyne_pdf, output_covariance, \
@@ -53,8 +53,7 @@ def _suite_kernels(tol: float) -> list[CheckResult]:
     worst = 0.0
     worst_at = ""
     for temp in (0.1, 11.0, 300.0):
-        bath = BathSpec(mass=base.mass, gamma=base.gamma, temperature=temp,
-                        cutoff=base.cutoff)
+        bath = base.with_(temperature=temp)
         for x in (0.01, 0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 100.0):
             tau = x / bath.cutoff
             dr_c, di_c = kernel_closed(bath, tau)
@@ -238,21 +237,12 @@ def _suite_cfi(tol: float) -> list[CheckResult]:
     results = []
     g0, sig, dsig, pipe = _rossi_output_state()
     h = 1e-4 * g0
-    sig_m, sig_p = pipe(g0 - h), pipe(g0 + h)
-    dsig_fd = (sig_p - sig_m) / (2.0 * h)
+    # cfi_numeric evaluates the family only at g0 and g0 +- h
+    states = {g0: sig, g0 - h: pipe(g0 - h), g0 + h: pipe(g0 + h)}
+    dsig_fd = (states[g0 + h] - states[g0 - h]) / (2.0 * h)
 
     def family_for(theta, eta):
-        def fam(g):
-            if g == g0:
-                s = sig
-            elif g == g0 - h:
-                s = sig_m
-            elif g == g0 + h:
-                s = sig_p
-            else:
-                s = pipe(g)
-            return lambda k: homodyne_pdf(s, theta, eta, k)
-        return fam
+        return lambda g: lambda k: homodyne_pdf(states[g], theta, eta, k)
 
     worst = 0.0
     worst_at = ""

@@ -358,6 +358,17 @@ class TestCli:
         assert "config error" in err and out in err
         assert "No such file or directory" in err
 
+    def test_directory_output_path_exit_code(self, tmp_path, capsys, monkeypatch):
+        """An output path that is an existing directory is rejected before
+        any point runs, with the reason write_rows would give."""
+        def no_sweep(cfg):
+            pytest.fail("run_sweep called for a directory output path")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert main(["sweep", "--preset", "fig4d", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write output file {tmp_path}: Is a directory" in err
+
     def test_failed_sweep_leaves_output_file(self, tmp_path, monkeypatch):
         """The output file is neither created nor truncated before the rows
         are written."""

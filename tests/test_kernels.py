@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omfisher.errors import DomainError
-from omfisher.kernels import (BathSpec, kernel_closed, kernel_di_numeric,
-                              kernel_dr_numeric, spectral_density, trigamma)
+from omfisher.kernels import (kernel_closed, kernel_di_numeric, kernel_dr_numeric,
+                              trigamma)
 from omfisher.params import rossi_params
 
 
 @pytest.fixture(scope="module")
 def bath():
-    p = rossi_params()
-    return BathSpec(mass=p.mass, gamma=p.gamma, temperature=p.temperature,
-                    cutoff=p.cutoff)
+    return rossi_params()
 
 
 def trigamma_series_oracle(z, n_terms=100000):
@@ -29,24 +27,6 @@ def trigamma_series_oracle(z, n_terms=100000):
     n = np.arange(n_terms)
     partial = np.sum(1.0 / (z + n) ** 2)
     return partial + 1.0 / (z + n_terms - 0.5)
-
-
-class TestSpectralDensity:
-    def test_zero(self, bath):
-        assert spectral_density(bath, 0.0) == 0.0
-
-    def test_at_cutoff(self, bath):
-        expected = (2 * bath.mass * bath.gamma / math.pi) * bath.cutoff / math.e
-        assert spectral_density(bath, bath.cutoff) == pytest.approx(expected, rel=1e-14)
-
-    def test_maximum_at_cutoff(self, bath):
-        omegas = np.linspace(1.0, 10.0 * bath.cutoff, 20001)
-        vals = spectral_density(bath, omegas)
-        assert abs(omegas[np.argmax(vals)] - bath.cutoff) < 2.0 * (omegas[1] - omegas[0])
-
-    def test_negative_omega(self, bath):
-        with pytest.raises(DomainError):
-            spectral_density(bath, -1.0)
 
 
 class TestTrigamma:
@@ -94,9 +74,7 @@ class TestKernels:
     @given(st.floats(min_value=0.005, max_value=50.0))
     @settings(max_examples=25, deadline=None)
     def test_parity_grid(self, x):
-        p = rossi_params()
-        bath = BathSpec(mass=p.mass, gamma=p.gamma, temperature=p.temperature,
-                        cutoff=p.cutoff)
+        bath = rossi_params()
         tau = x / bath.cutoff
         assert kernel_closed(bath, tau)[0] == pytest.approx(
             kernel_closed(bath, -tau)[0], rel=1e-14)
@@ -117,8 +95,7 @@ class TestKernels:
     def test_array_equals_scalar_calls(self, temperature):
         """One call on an array of lags gives bitwise the scalar calls, as
         Python floats at one lag."""
-        p = rossi_params()
-        bath = BathSpec(p.mass, p.gamma, temperature, p.cutoff)
+        bath = rossi_params(temperature=temperature)
         taus = np.linspace(-3.0, 40.0, 37) / bath.cutoff
         d_r, d_i = kernel_closed(bath, taus)
         for j, tau in enumerate(taus):
@@ -139,36 +116,27 @@ class TestKernels:
             -kernel_di_numeric(bath, tau)[0], rel=1e-10)
 
     def test_high_temperature_linearity(self):
-        p = rossi_params()
         for temp in (100.0, 200.0):
-            b1 = BathSpec(p.mass, p.gamma, temp, p.cutoff)
-            b2 = BathSpec(p.mass, p.gamma, 2 * temp, p.cutoff)
+            b1 = rossi_params(temperature=temp)
+            b2 = rossi_params(temperature=2 * temp)
             ratio = kernel_closed(b2, 0.0)[0] / kernel_closed(b1, 0.0)[0]
             assert ratio == pytest.approx(2.0, rel=0.01)
 
     def test_zero_temperature_limit_continuity(self):
         """Thermal term vanishes as (kB T / hbar)^2; probe far below it."""
-        p = rossi_params()
-        b0 = BathSpec(p.mass, p.gamma, 0.0, p.cutoff)
-        b1 = BathSpec(p.mass, p.gamma, 1e-9, p.cutoff)
+        b0 = rossi_params(temperature=0.0)
+        b1 = rossi_params(temperature=1e-9)
         scale = abs(kernel_closed(b0, 0.0)[0])
         for x in (0.0, 0.4, 3.0):
-            tau = x / p.cutoff
+            tau = x / b0.cutoff
             assert abs(kernel_closed(b0, tau)[0] - kernel_closed(b1, tau)[0]) \
                 <= 1e-8 * scale
 
     def test_zero_temperature_against_quadrature(self):
-        p = rossi_params()
-        b0 = BathSpec(p.mass, p.gamma, 0.0, p.cutoff)
+        b0 = rossi_params(temperature=0.0)
         scale = abs(kernel_closed(b0, 0.0)[0])
         for x in (0.3, 2.0):
-            tau = x / p.cutoff
+            tau = x / b0.cutoff
             c = kernel_closed(b0, tau)[0]
             n = kernel_dr_numeric(b0, tau)[0]
             assert abs(c - n) <= 1e-6 * scale
-
-    def test_bath_validation(self):
-        with pytest.raises(DomainError):
-            BathSpec(mass=1.0, gamma=0.0, temperature=1.0, cutoff=1.0)
-        with pytest.raises(DomainError):
-            BathSpec(mass=1.0, gamma=1.0, temperature=-1.0, cutoff=1.0)

@@ -178,7 +178,7 @@ class TestBistabilityWindow:
 
 
 def _hand_built(m: np.ndarray) -> DriftMatrix:
-    return DriftMatrix(matrix=m, matrix_scaled=m, scale=np.ones(4))
+    return DriftMatrix(matrix_scaled=m)
 
 
 class TestIsStable:
