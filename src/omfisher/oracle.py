@@ -1,18 +1,23 @@
 """Brute-force validators: truncated-Fock QFI and numeric classical FI.
 
 These never share code with the closed-form Fisher routes.  The Fock oracle
-builds the density matrix of the Gaussian state in the number basis
-(thermal core, then squeeze and rotation), finite-differences it in the
-coupling, and evaluates the SLD sum
+holds a zero-mean Gaussian state in the number basis, truncated to photon
+numbers 0..n_max, as the factors of its eigendecomposition
 
-    H = sum_{i,j: p_i + p_j > eps} 2 |<i| drho |j>|^2 / (p_i + p_j).
+    rho = U diag(p) U^H,   U = e^{i phi n} exp(r K0),   K0 = (a^dag^2 - a^2)/2,
 
-Every operator involved preserves photon-number parity, so rho splits into
-an even and an odd block that are built and diagonalised separately: the
-squeeze exp(r K0), K0 = (a^dag^2 - a^2)/2, comes from the eigenvectors of
-the tridiagonal r-free generator of each block, the rotation exp(i phi n)
-is a phase on each element, and the SLD sum runs block by block (d rho has
-no elements between the parities).
+with p the thermal weights.  Both operators preserve photon-number parity,
+so the truncated exp(r K0) is a real orthogonal block on the even and one on
+the odd photon numbers, each from the eigenvectors of the tridiagonal
+r-free generator of that block.  The QFI is the SLD sum at the state rho(g),
+
+    H = sum_{i,j: p_i + p_j > eps} 2 |<i| drho |j>|^2 / (p_i + p_j),
+
+taken in the eigenbasis U(g) that the construction gives, with drho the
+central difference of rho(g +- h) moved into that basis block by block by
+real matrix products (drho has no elements between the parities).  No
+eigensolver runs on a density matrix, and the SLD path forms no dense
+matrix of the whole truncated space.
 
 The numeric CFI integrates (d_g ln P)^2 P over the outcome axis with
 central-difference log-derivatives.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -45,11 +51,28 @@ _FOCK_RTOL = 1e-4
 
 @dataclass(frozen=True)
 class FockState:
-    """Density matrix in the truncated number basis."""
+    """Density matrix in the truncated number basis, held as its
+    eigendecomposition rho = U diag(weights) U^H.
+
+    U = e^{i phi n} (blocks[0] (+) blocks[1]): ``blocks[parity]`` is a real
+    orthogonal matrix on the photon numbers of that parity, in increasing
+    order, and ``weights[n]`` is the eigenvalue carried by photon number n.
+    """
 
     n_max: int
-    rho: np.ndarray
+    phi: float
+    weights: np.ndarray
+    blocks: tuple[np.ndarray, np.ndarray]
     trace_deficit: float
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The dense complex density matrix, assembled from the factors."""
+        rho = np.zeros((self.n_max + 1, self.n_max + 1))
+        for parity, s in enumerate(self.blocks):
+            rho[parity::2, parity::2] = (s * self.weights[parity::2]) @ s.T
+        phase = np.exp(1j * self.phi * np.arange(self.n_max + 1))
+        return phase[:, None] * rho * phase.conj()
 
 
 def _ladder(n_max: int) -> np.ndarray:
@@ -68,18 +91,10 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
     """Zero-mean Gaussian state with covariance ``sigma`` in the Fock basis.
 
     Decomposes sigma = S (nu I) S^T with S a rotation times a squeeze and
-    nu = sqrt(det sigma) >= 1/2; builds the thermal state with mean
-    occupation nu - 1/2 and applies the squeeze and rotation operators,
-    truncated to photon numbers 0..n_max.
-
-    Each parity block is built on its own.  There the squeeze generator K0
-    is real, skew-symmetric and tridiagonal with off-diagonals
-    b_m = sqrt((n+1)(n+2))/2, and D = diag(i^m) turns it into -i B with B
-    real symmetric, so exp(r K0) = Re[(D Q) e^{-i r Lambda} (D Q)^H] from
-    B = Q Lambda Q^T.  B does not depend on r, so the states at g +- h that
-    the oracle differences share one decomposition and its round-off.  The
-    block is then (S p) S^T in real arithmetic, and the rotation
-    exp(i phi n) multiplies rho_jk by e^{i phi (j - k)}.
+    nu = sqrt(det sigma) >= 1/2: the thermal state with mean occupation
+    nu - 1/2 gives the weights, the squeeze exp(r K0) the two parity blocks
+    (_squeeze_block) and the rotation the phase phi, all truncated to photon
+    numbers 0..n_max.
     """
     sigma = np.asarray(sigma, dtype=float)
     det = float(np.linalg.det(sigma))
@@ -96,44 +111,58 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
     e_big = evals[1]
     r = 0.5 * math.log(e_big)
     v = evecs[:, 1]
+    # squeeze along the x axis by e^r, then rotate the stretched axis onto
+    # the leading eigenvector (U = e^{+i phi n} maps sigma -> R sigma R^T)
     phi = math.atan2(v[1], v[0])
 
     nbar = nu - 0.5
-    ns = np.arange(n_max + 1)
     if nbar <= 0.0:
-        diag = np.zeros(n_max + 1)
-        diag[0] = 1.0
+        weights = np.zeros(n_max + 1)
+        weights[0] = 1.0
     else:
-        log_p = ns * math.log(nbar / (nbar + 1.0)) - math.log(nbar + 1.0)
-        diag = np.exp(log_p)
+        log_p = (np.arange(n_max + 1) * math.log(nbar / (nbar + 1.0))
+                 - math.log(nbar + 1.0))
+        weights = np.exp(log_p)
 
-    # squeeze along the x axis by e^r, then rotate the stretched axis onto
-    # the leading eigenvector (U = e^{+i phi n} maps sigma -> R sigma R^T)
-    rho_real = np.zeros((n_max + 1, n_max + 1))
-    for parity in (0, 1):
-        n = ns[parity::2]
-        if n.size == 0:
-            continue
-        s = _squeeze_block(n, r)
-        rho_real[parity::2, parity::2] = (s * diag[parity::2]) @ s.T
-    phase = np.exp(1j * phi * ns)
-    rho = phase[:, None] * rho_real * phase.conj()
-    deficit = abs(1.0 - float(np.real(np.trace(rho))))
-    return FockState(n_max=n_max, rho=rho, trace_deficit=deficit)
+    blocks = tuple(_squeeze_block(parity, len(range(parity, n_max + 1, 2)), r)
+                   for parity in (0, 1))
+    trace = sum(float(np.sum((s * s) @ weights[parity::2]))
+                for parity, s in enumerate(blocks))
+    return FockState(n_max=n_max, phi=phi, weights=weights, blocks=blocks,
+                     trace_deficit=abs(1.0 - trace))
 
 
-def _squeeze_block(n: np.ndarray, r: float) -> np.ndarray:
-    """exp(r K0) restricted to the photon numbers ``n`` of one parity."""
+@lru_cache(maxsize=16)
+def _k0_spectrum(parity: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (Lambda, Q) of B = D^-1 K0 D / (-i) on one parity block,
+    computed on first use and shared by every state with that block."""
+    n = parity + 2.0 * np.arange(size)
     b = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-    lam, q = eigh_tridiagonal(np.zeros(n.size), b)
+    lam, q = eigh_tridiagonal(np.zeros(size), b)
+    lam.flags.writeable = False
+    q.flags.writeable = False
+    return lam, q
+
+
+def _squeeze_block(parity: int, size: int, r: float) -> np.ndarray:
+    """exp(r K0) on the ``size`` lowest photon numbers of one parity.
+
+    There K0 is real, skew-symmetric and tridiagonal with off-diagonals
+    b_m = sqrt((n+1)(n+2))/2, and D = diag(i^m) turns it into -i B with B
+    real symmetric, so exp(r K0) = Re[(D Q) e^{-i r Lambda} (D Q)^H] from
+    B = Q Lambda Q^T.  B does not depend on r, so the states at g - h, g and
+    g + h share one decomposition (_k0_spectrum) and its round-off.
+    """
+    if size < 2 or r == 0.0:
+        return np.eye(size)
+    lam, q = _k0_spectrum(parity, size)
     # element (j, l) is Re[i^(j-l) (C - i S)_jl] with C = Q cos(r Lambda) Q^T
-    # and S = Q sin(r Lambda) Q^T.  C is formed as I - Q (1 - cos) Q^T, so
-    # r = 0 gives the identity exactly and its round-off shrinks with r.
-    c = np.eye(n.size) - (q * (2.0 * np.sin(0.5 * r * lam) ** 2)) @ q.T
+    # and S = Q sin(r Lambda) Q^T: +C, +S, -C, -S for (j - l) mod 4 = 0..3.
+    # C is formed as I - Q (1 - cos) Q^T, so round-off shrinks with r.
+    c = np.eye(size) - (q * (2.0 * np.sin(0.5 * r * lam) ** 2)) @ q.T
     s = (q * np.sin(r * lam)) @ q.T
-    k = np.arange(n.size)
-    i_pow = np.array([1.0, 1j, -1.0, -1j])[(k[:, None] - k[None, :]) % 4]
-    return np.real(i_pow * (c - 1j * s))
+    d = np.subtract.outer(np.arange(size), np.arange(size)) % 4
+    return np.where(d % 2 == 0, c, s) * np.where(d < 2, 1.0, -1.0)
 
 
 def fock_moments(state: FockState) -> np.ndarray:
@@ -154,50 +183,74 @@ def fock_moments(state: FockState) -> np.ndarray:
     return np.array([[xx, xy], [xy, yy]])
 
 
-def qfi_fock(rho_minus: FockState, rho_plus: FockState, h: float) -> float:
-    """QFI from the operator SLD definition with finite-difference d rho.
+def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> float:
+    """QFI at ``centre`` from the operator SLD definition, with
+    d rho = (rho(plus) - rho(minus)) / 2h.
 
-    The states must be parity-symmetric (no element between an even and an
-    odd photon number), as every zero-mean Gaussian state is; the SLD sum
-    then runs over the even and the odd block separately.
+    The sum runs in the centre's eigenbasis U_c, one parity block at a time.
+    There U_c^H rho(g +- h) U_c = T T^H with T = S_c^T e^{i (phi - phi_c) n}
+    S p^(1/2), so with T0 the mean and T' the central difference of the two
+    T, U_c^H d rho U_c = T0 T'^H + T' T0^H exactly, and no difference of
+    two nearly equal density matrices is taken.  T = A + iB is carried as
+    the real pair [A B].  Every block must be orthogonal, as the blocks
+    gaussian_to_fock builds are.
     """
-    if rho_minus.n_max != rho_plus.n_max:
+    states = (minus, centre, plus)
+    n_max = centre.n_max
+    if any(st.n_max != n_max for st in states):
         raise DomainError("Fock states must share the truncation")
-    if max(rho_minus.trace_deficit, rho_plus.trace_deficit) > 1e-10:
+    if max(st.trace_deficit for st in states) > 1e-10:
         raise DomainError("trace deficit too large; increase n_max")
-    for st in (rho_minus, rho_plus):
-        if np.any(st.rho[0::2, 1::2]) or np.any(st.rho[1::2, 0::2]):
-            raise DomainError("Fock state couples even and odd photon numbers")
+    shapes = [(len(range(parity, n_max + 1, 2)),) * 2 for parity in (0, 1)]
+    for st in states:
+        if st.weights.shape != (n_max + 1,) or [b.shape for b in st.blocks] != shapes:
+            raise DomainError("Fock state blocks must split into the even and "
+                              "odd photon numbers")
     total = 0.0
-    for parity in (0, 1):
-        blk = np.s_[parity::2, parity::2]
-        drho = (rho_plus.rho[blk] - rho_minus.rho[blk]) / (2.0 * h)
-        rho_mid = 0.5 * (rho_plus.rho[blk] + rho_minus.rho[blk])
-        pvals, pvecs = np.linalg.eigh(rho_mid)
-        d_in_eig = pvecs.conj().T @ drho @ pvecs
-        psum = pvals[:, None] + pvals[None, :]
+    for parity, s_c in enumerate(centre.blocks):
+        a0, b0, a1, b1 = np.hsplit(s_c.T @ _phased_roots(minus, plus, centre.phi,
+                                                          parity, h), 4)
+        # d rho = Y + Y^H with Y = T0 T'^H = A0 A'^T + B0 B'^T + i (B0 A'^T - A0 B'^T)
+        re = a0 @ a1.T + b0 @ b1.T
+        im = b0 @ a1.T - a0 @ b1.T
+        re, im = re + re.T, im - im.T
+        p = centre.weights[parity::2]
+        psum = p[:, None] + p[None, :]
         mask = psum > _SLD_EPS
-        total += float(np.sum(2.0 * np.abs(d_in_eig[mask]) ** 2 / psum[mask]))
+        total += float(np.sum(2.0 * (re[mask] ** 2 + im[mask] ** 2) / psum[mask]))
     return total
+
+
+def _phased_roots(minus: FockState, plus: FockState, phi_c: float, parity: int,
+                  h: float) -> np.ndarray:
+    """[A0 B0 A' B'] on one parity block: W = A + iB = e^{i (phi - phi_c) n}
+    S p^(1/2) of ``minus`` and ``plus``, as their mean W0 and their central
+    difference W'."""
+    n = np.arange(parity, minus.n_max + 1, 2)
+    w = []
+    for st in (minus, plus):
+        # e^{i pi n} is constant on a block, so the phase offset counts modulo pi
+        dphi = (st.phi - phi_c + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+        root = st.blocks[parity] * np.sqrt(st.weights[parity::2])
+        w.append(np.hstack([np.cos(dphi * n)[:, None] * root,
+                            np.sin(dphi * n)[:, None] * root]))
+    return np.hstack([0.5 * (w[1] + w[0]), (w[1] - w[0]) / (2.0 * h)])
 
 
 def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,
                        h: float, n_max: int | None = None) -> tuple[float, float]:
-    """QFI with an n_max -> n_max + 20 stability check.
+    """QFI at g with an n_max -> n_max + 20 stability check.
 
-    Returns (qfi, relative change under the truncation bump); raises
+    ``sigma_of_g`` is evaluated at g - h, g and g + h; the state at g, whose
+    eigenbasis carries the SLD sum, also sets the default n_max.  Returns
+    (qfi, relative change under the truncation bump); raises
     ConvergenceError when the bump moves the value by more than _FOCK_RTOL.
     """
-    s_minus = np.asarray(sigma_of_g(g - h), dtype=float)
-    s_plus = np.asarray(sigma_of_g(g + h), dtype=float)
+    sigmas = [np.asarray(sigma_of_g(x), dtype=float) for x in (g - h, g, g + h)]
     if n_max is None:
-        nu = math.sqrt(np.linalg.det(0.5 * (s_minus + s_plus)))
-        n_max = default_n_max(nu)
-    vals = []
-    for n in (n_max, n_max + 20):
-        rm = gaussian_to_fock(s_minus, n)
-        rp = gaussian_to_fock(s_plus, n)
-        vals.append(qfi_fock(rm, rp, h))
+        n_max = default_n_max(math.sqrt(np.linalg.det(sigmas[1])))
+    vals = [qfi_fock(*(gaussian_to_fock(s, n) for s in sigmas), h)
+            for n in (n_max, n_max + 20)]
     drift = abs(vals[1] - vals[0]) / max(abs(vals[1]), 1e-300)
     if drift > _FOCK_RTOL:
         raise ConvergenceError(

@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 
 The QFI is the exact single-mode Gaussian result, so criteria 5, 7 and 9
 compare the CFI against the true quantum bound: the baseline output state
-(nu_bar ~ 1.6) meets the Fock SLD oracle to 3.4e-10, and the saturation
-ratios across the fig4 grids lie in 0.9875..0.9980.
+(nu_bar ~ 1.6) meets the Fock SLD oracle, a central-difference SLD sum in
+the eigenbasis of the state at g that the Fock construction gives, to
+3.3e-10, and the saturation ratios across the fig4 grids lie in
+0.9875..0.9980.
 
 One criterion fails by construction of the source model and is left red on
 purpose; its docstring carries the analysis:

@@ -1,6 +1,7 @@
 """Tests of the brute-force validators themselves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,10 +37,11 @@ def _dense_fock(sigma, n_max):
     return u @ np.diag(diag) @ u.conj().T
 
 
-def _dense_sld_sum(rho_minus, rho_plus, h):
-    """SLD sum over the full matrix, without the parity split."""
+def _dense_sld_sum(rho_minus, rho_centre, rho_plus, h):
+    """SLD sum over the full matrix at the centre state, in the eigenbasis
+    that np.linalg.eigh finds for it, without the parity split."""
     drho = (rho_plus - rho_minus) / (2.0 * h)
-    pvals, pvecs = np.linalg.eigh(0.5 * (rho_plus + rho_minus))
+    pvals, pvecs = np.linalg.eigh(rho_centre)
     d_in_eig = pvecs.conj().T @ drho @ pvecs
     psum = pvals[:, None] + pvals[None, :]
     mask = psum > 1e-12
@@ -101,11 +103,34 @@ class TestGaussianToFock:
         assert default_n_max(1.0) == 80
         assert default_n_max(10.0) == 400
 
+    def test_factors_are_the_eigendecomposition(self):
+        """The SLD sum runs in the basis the construction gives: each parity
+        block is orthogonal, and U diag(weights) U^H is the dense rho."""
+        cases = [(n_max, 1.3) for n_max in (0, 1, 40, 41)] + [(1020, 25.0)]
+        for n_max, nu in cases:
+            for r in (0.0, 0.15, 0.8):
+                st = gaussian_to_fock(_squeezed_thermal(nu, r, 0.7), n_max)
+                # undo the rotation: what is left is real and parity-blocked
+                phase = np.exp(1j * st.phi * np.arange(n_max + 1))
+                core = phase.conj()[:, None] * st.rho * phase
+                assert np.max(np.abs(core.imag)) < 1e-13, (n_max, r)
+                assert not np.any(core[0::2, 1::2]) and not np.any(core[1::2, 0::2])
+                for parity, s in enumerate(st.blocks):
+                    assert s.shape == ((n_max - parity) // 2 + 1,) * 2
+                    ortho = np.max(np.abs(s.T @ s - np.eye(len(s))), initial=0.0)
+                    assert ortho < 1e-13, (n_max, r, parity, ortho)
+                    rebuilt = (s * st.weights[parity::2]) @ s.T
+                    err = np.max(np.abs(core[parity::2, parity::2].real - rebuilt),
+                                 initial=0.0)
+                    assert err < 1e-13, (n_max, r, parity, err)
+                trace = float(np.sum(core.real.diagonal()))
+                assert st.trace_deficit == pytest.approx(abs(1.0 - trace), abs=1e-13)
+
 
 class TestQfiFock:
     def test_zero_derivative(self):
         st = gaussian_to_fock(1.2 * np.eye(2), 60)
-        assert qfi_fock(st, st, 1e-3) == 0.0
+        assert qfi_fock(st, st, st, 1e-3) == 0.0
 
     def test_thermal_matches_exact_closed_form(self):
         """Commuting thermal family: QFI = classical FI of the eigenvalues,
@@ -129,42 +154,83 @@ class TestQfiFock:
         assert abs(formula - q) / q < 1e-3
 
     def test_blockwise_sum_matches_full_matrix(self):
-        """The parity-block SLD sum equals the full-matrix sum; states the
-        truncation cannot hold still trip the trace-deficit gate."""
+        """The parity-block SLD sum in the centre state's own eigenbasis
+        equals the full-matrix sum in the eigenbasis eigh finds for the dense
+        centre rho; states the truncation cannot hold still trip the
+        trace-deficit gate."""
         h = 1e-4
         compared = 0
         for n_max, nu, r, phi in _FOCK_CASES:
             dnu = 0.0 if nu == 0.5 else 0.3
             fam = lambda g: _squeezed_thermal(nu + dnu * g, r + 0.4 * g,
                                               phi + 0.5 * g)
-            rm = gaussian_to_fock(fam(-h), n_max)
-            rp = gaussian_to_fock(fam(h), n_max)
-            if max(rm.trace_deficit, rp.trace_deficit) > 1e-10:
+            trio = [gaussian_to_fock(fam(g), n_max) for g in (-h, 0.0, h)]
+            if max(st.trace_deficit for st in trio) > 1e-10:
                 with pytest.raises(DomainError):
-                    qfi_fock(rm, rp, h)
+                    qfi_fock(*trio, h)
                 continue
-            full = _dense_sld_sum(rm.rho, rp.rho, h)
-            assert qfi_fock(rm, rp, h) == pytest.approx(full, rel=1e-10, abs=1e-14)
+            full = _dense_sld_sum(*(st.rho for st in trio), h)
+            assert qfi_fock(*trio, h) == pytest.approx(full, rel=1e-10, abs=1e-14)
             compared += full > 0.0
         assert compared >= 20
         # one-state odd block carrying part of the derivative
-        two = [FockState(1, np.diag([1.0 - q, q]).astype(complex), 0.0)
-               for q in (0.3 - h, 0.3 + h)]
+        two = [FockState(1, 0.0, np.array([1.0 - q, q]), (np.eye(1), np.eye(1)), 0.0)
+               for q in (0.3 - h, 0.3, 0.3 + h)]
         assert qfi_fock(*two, h) == pytest.approx(
-            _dense_sld_sum(two[0].rho, two[1].rho, h), rel=1e-12)
+            _dense_sld_sum(*(st.rho for st in two), h), rel=1e-12)
 
     def test_parity_mixing_rejected(self):
-        coherent = FockState(1, np.full((2, 2), 0.5, dtype=complex), 0.0)
+        """A factored state keeps the even and the odd photon numbers in
+        separate blocks, so a coherence between them cannot be written as
+        one; a record whose blocks do not split that way is rejected."""
+        # |+><+|, |+> = (|0> + |1>)/sqrt 2, as one block over both parities
+        mixing = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        coherent = FockState(1, 0.0, np.array([1.0, 0.0]), (mixing, np.eye(0)), 0.0)
         vacuum = gaussian_to_fock(0.5 * np.eye(2), 1)
-        for pair in ((coherent, vacuum), (vacuum, coherent)):
+        for trio in ((coherent, vacuum, vacuum), (vacuum, coherent, vacuum),
+                     (vacuum, vacuum, coherent)):
             with pytest.raises(DomainError, match="even and odd"):
-                qfi_fock(*pair, 1e-3)
+                qfi_fock(*trio, 1e-3)
+
+    def test_phase_offset_counts_modulo_pi(self):
+        """phi and phi + pi give the same parity-blocked rho (e^{i pi n} is
+        constant on a block), as when eigh flips the sign of the stretched
+        axis; shifting any one of the three states leaves the QFI alone."""
+        h = 1e-4
+        fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, 0.3 + 0.4 * g, 0.7 + 0.5 * g)
+        trio = [gaussian_to_fock(fam(g), 200) for g in (-h, 0.0, h)]
+        q = qfi_fock(*trio, h)
+        for k, shift in ((0, math.pi), (1, -3 * math.pi), (2, -math.pi)):
+            shifted = list(trio)
+            shifted[k] = replace(trio[k], phi=trio[k].phi + shift)
+            assert qfi_fock(*shifted, h) == pytest.approx(q, rel=1e-10)
 
     def test_truncation_mismatch_rejected(self):
         a = gaussian_to_fock(1.2 * np.eye(2), 60)
         b = gaussian_to_fock(1.2 * np.eye(2), 80)
-        with pytest.raises(DomainError):
-            qfi_fock(a, b, 1e-3)
+        for trio in ((a, b, b), (b, a, b), (b, b, a)):
+            with pytest.raises(DomainError):
+                qfi_fock(*trio, 1e-3)
+
+    def test_centre_sets_truncation(self, monkeypatch):
+        """sigma_of_g is evaluated at g - h, g and g + h, and the default
+        n_max comes from the state at g."""
+        import omfisher.oracle as oracle
+        calls, n_maxes = [], []
+        fock = oracle.gaussian_to_fock
+        monkeypatch.setattr(oracle, "gaussian_to_fock",
+                            lambda s, n: n_maxes.append(n) or fock(s, n))
+
+        def fam(g):
+            calls.append(g)
+            return (5.0 + 2.0 * g * g) * np.eye(2)
+
+        h = 0.5
+        q, _ = qfi_fock_converged(fam, 0.0, h)
+        assert calls == [-h, 0.0, h]
+        # nu = 5 at g; the mean of the +-h states has nu = 5.5 and takes 220
+        assert n_maxes == [200] * 3 + [220] * 3
+        assert q == 0.0
 
     def test_truncation_stability_guard(self):
         fam = lambda g: (1.5 + g) * np.eye(2)
