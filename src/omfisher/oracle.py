@@ -192,8 +192,13 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
     S p^(1/2), so with T0 the mean and T' the central difference of the two
     T, U_c^H d rho U_c = T0 T'^H + T' T0^H exactly, and no difference of
     two nearly equal density matrices is taken.  T = A + iB is carried as
-    the real pair [A B].  Every block must be orthogonal, as the blocks
+    the real pair A, B.  Every block must be orthogonal, as the blocks
     gaussian_to_fock builds are.
+
+    Both blocks work in one buffer of seven block-sized slots, allocated
+    once per call; the products and elementwise steps write into its slots,
+    so a call makes no other array of the block size and repeated calls
+    reuse the same memory rather than fault in fresh pages for each step.
     """
     states = (minus, centre, plus)
     n_max = centre.n_max
@@ -206,35 +211,52 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
         if st.weights.shape != (n_max + 1,) or [b.shape for b in st.blocks] != shapes:
             raise DomainError("Fock state blocks must split into the even and "
                               "odd photon numbers")
+    work = np.empty(7 * shapes[0][0] ** 2)
     total = 0.0
     for parity, s_c in enumerate(centre.blocks):
-        a0, b0, a1, b1 = np.hsplit(s_c.T @ _phased_roots(minus, plus, centre.phi,
-                                                          parity, h), 4)
+        m = len(s_c)
+        a0, b0, a1, b1, re, im, tmp = work[:7 * m * m].reshape(7, m, m)
+        _centre_roots(minus, plus, centre.phi, parity, h, s_c,
+                      (a0, b0, a1, b1), (re, im, tmp))
         # d rho = Y + Y^H with Y = T0 T'^H = A0 A'^T + B0 B'^T + i (B0 A'^T - A0 B'^T)
-        re = a0 @ a1.T + b0 @ b1.T
-        im = b0 @ a1.T - a0 @ b1.T
-        re, im = re + re.T, im - im.T
+        np.matmul(a0, a1.T, out=re)
+        re += np.matmul(b0, b1.T, out=tmp)
+        np.matmul(b0, a1.T, out=im)
+        im -= np.matmul(a0, b1.T, out=tmp)
+        # |<i| d rho |j>|^2 into slot a0
+        np.add(re, re.T, out=a0)
+        np.subtract(im, im.T, out=b0)
+        a0 *= a0
+        b0 *= b0
+        a0 += b0
         p = centre.weights[parity::2]
-        psum = p[:, None] + p[None, :]
-        mask = psum > _SLD_EPS
-        total += float(np.sum(2.0 * (re[mask] ** 2 + im[mask] ** 2) / psum[mask]))
+        np.add(p[:, None], p[None, :], out=tmp)
+        mask = tmp > _SLD_EPS
+        total += 2.0 * float(np.sum(np.divide(a0, tmp, out=a0, where=mask),
+                                    where=mask))
     return total
 
 
-def _phased_roots(minus: FockState, plus: FockState, phi_c: float, parity: int,
-                  h: float) -> np.ndarray:
-    """[A0 B0 A' B'] on one parity block: W = A + iB = e^{i (phi - phi_c) n}
-    S p^(1/2) of ``minus`` and ``plus``, as their mean W0 and their central
-    difference W'."""
+def _centre_roots(minus: FockState, plus: FockState, phi_c: float, parity: int,
+                  h: float, s_c: np.ndarray, out, scratch) -> None:
+    """T = S_c^T W on one parity block, W = A + iB = e^{i (phi - phi_c) n}
+    S p^(1/2) of ``minus`` and ``plus``: writes (A0, B0, A', B') of their
+    mean T0 and central difference T' to ``out``, using the three blocks of
+    ``scratch``.  W is averaged and differenced before the product."""
     n = np.arange(parity, minus.n_max + 1, 2)
-    w = []
-    for st in (minus, plus):
-        # e^{i pi n} is constant on a block, so the phase offset counts modulo pi
-        dphi = (st.phi - phi_c + 0.5 * math.pi) % math.pi - 0.5 * math.pi
-        root = st.blocks[parity] * np.sqrt(st.weights[parity::2])
-        w.append(np.hstack([np.cos(dphi * n)[:, None] * root,
-                            np.sin(dphi * n)[:, None] * root]))
-    return np.hstack([0.5 * (w[1] + w[0]), (w[1] - w[0]) / (2.0 * h)])
+    w_minus, w_plus, w_mean = scratch
+    for k, trig in enumerate((np.cos, np.sin)):
+        for st, w in ((minus, w_minus), (plus, w_plus)):
+            # e^{i pi n} is constant on a block, so the phase offset counts modulo pi
+            dphi = (st.phi - phi_c + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+            np.multiply(st.blocks[parity], np.sqrt(st.weights[parity::2]), out=w)
+            w *= trig(dphi * n)[:, None]
+        np.add(w_plus, w_minus, out=w_mean)
+        w_mean *= 0.5
+        w_plus -= w_minus
+        w_plus /= 2.0 * h
+        np.matmul(s_c.T, w_mean, out=out[k])
+        np.matmul(s_c.T, w_plus, out=out[2 + k])
 
 
 def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,

@@ -205,6 +205,24 @@ class TestQfiFock:
             shifted[k] = replace(trio[k], phi=trio[k].phi + shift)
             assert qfi_fock(*shifted, h) == pytest.approx(q, rel=1e-10)
 
+    def test_one_workspace_per_call(self):
+        """A call allocates one workspace of seven even-block slots and no
+        other array of the block size, so its peak traced memory stays
+        below eight slots whatever the number of steps it runs."""
+        import tracemalloc
+        h = 1e-4
+        fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, 0.3 + 0.4 * g, 0.7 + 0.5 * g)
+        trio = [gaussian_to_fock(fam(g), 400) for g in (-h, 0.0, h)]
+        slot = 8 * len(trio[1].blocks[0]) ** 2
+        tracemalloc.start()
+        try:
+            q = qfi_fock(*trio, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q > 0.0
+        assert 7 * slot <= peak < 8 * slot, peak / slot
+
     def test_truncation_mismatch_rejected(self):
         a = gaussian_to_fock(1.2 * np.eye(2), 60)
         b = gaussian_to_fock(1.2 * np.eye(2), 80)
