@@ -11,7 +11,12 @@ timed with time.perf_counter in this one process:
   built outside its timed region, on a fresh drift matrix each call so that
   no decomposition cached on it is reused;
 - end-to-end cases: the fig1, fig2, fig4a and fig5 preset sweeps and one
-  full validate(), each max(1, N // 40) times.
+  full validate(), each max(1, N // 40) times;
+- the import case: max(1, N // 40) fresh processes, each importing
+  omfisher.cli and omfisher.validate and running one fisher_report at the
+  baseline point; the median and quartiles of each process's whole CPU time
+  (its process clock at exit: user + system, interpreter start-up included)
+  and of its peak RSS (VmHWM, so Linux only).
 
 The record of one run goes under NAME in ``BENCH_<tag>.json`` in the current
 directory, next to the runs already there, with the python, numpy, scipy
@@ -25,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -32,6 +38,15 @@ from pathlib import Path
 import numpy as np
 
 END_TO_END = ("fig1", "fig2", "fig4a", "fig5", "validate")
+IMPORT_CASE = ("import time\n"
+               "import omfisher.cli, omfisher.validate\n"
+               "from omfisher.params import rossi_params\n"
+               "from omfisher.pipeline import build_measurement, fisher_report\n"
+               "p = rossi_params()\n"
+               "fisher_report(p, build_measurement(p), auto_theta=True)\n"
+               "hwm = next(line.split()[1] for line in open('/proc/self/status')\n"
+               "           if line.startswith('VmHWM:'))\n"
+               "print(time.process_time(), hwm)\n")
 
 
 def _summary(samples, unit: float) -> dict:
@@ -59,6 +74,8 @@ def _stages(n: int) -> dict:
                                    cavity_covariance, cavity_dsigma_opt, fisher_report)
 
     p = rossi_params()
+    cold = rossi_params(temperature=1e-5)  # 256 Matsubara terms, 174 at |z| <= 40
+    cold_spec = build_measurement(cold)
     default = PipelineSettings()
     fd = PipelineSettings(derivative_method="finite-difference")
     ss = steady_state(p)
@@ -98,6 +115,8 @@ def _stages(n: int) -> dict:
         "theta_max, eta = 0.5": (lambda _: theta_max(sig, dsig, eta=0.5), None),
         "fisher_report (auto theta, default settings)":
             (lambda _: fisher_report(p, spec, default, auto_theta=True), None),
+        "fisher_report at T = 1e-5 K":
+            (lambda _: fisher_report(cold, cold_spec, default, auto_theta=True), None),
     }
     return {name: _summary(_time(body, setup or (lambda: None), n), 1e3)
             for name, (body, setup) in cases.items()}
@@ -119,6 +138,24 @@ def _end_to_end(n: int) -> dict:
     return out
 
 
+def _import_case(n: int) -> dict:
+    """CPU seconds and peak RSS of n fresh processes running IMPORT_CASE on
+    the omfisher this process imported."""
+    import omfisher
+    env = dict(os.environ)
+    src = str(Path(omfisher.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    cpu, rss = [], []
+    for _ in range(n):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_CASE], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True)
+        cpu_s, hwm_kib = proc.stdout.split()
+        cpu.append(float(cpu_s))
+        rss.append(int(hwm_kib) / 1024.0)
+    return {"cpu_s": _summary(cpu, 1.0), "peak_rss_mb": _summary(rss, 1.0)}
+
+
 def _environment() -> dict:
     import scipy
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -135,7 +172,8 @@ def _environment() -> dict:
 
 
 def measure(repeat: int) -> dict:
-    """One run's record: environment, stage and end-to-end timings."""
+    """One run's record: environment, stage and end-to-end timings and the
+    import case."""
     from omfisher import __version__
     from omfisher.pipeline import PipelineSettings
     return {
@@ -144,6 +182,7 @@ def measure(repeat: int) -> dict:
         "environment": _environment(),
         "stages_ms": _stages(repeat),
         "end_to_end_s": _end_to_end(max(1, repeat // 40)),
+        "import": _import_case(max(1, repeat // 40)),
     }
 
 

@@ -2,8 +2,8 @@
 quantum/classical Fisher information of coupling-strength estimation."""
 
 from .params import (SystemParams, SteadyState, BistabilityWindow, rossi_params,
-                     coupling_to_si, steady_state, bistability_window)
-from .kernels import trigamma, kernel_closed, kernel_dr_numeric, kernel_di_numeric
+                     steady_state, bistability_window)
+from .kernels import kernel_closed, kernel_dr_numeric, kernel_di_numeric
 from .dynamics import (DriftMatrix, DiffusionMatrix, CovarianceMatrix4,
                        drift_matrix, diffusion_matrix, stationary_covariance,
                        transient_covariance)

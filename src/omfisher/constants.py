@@ -1,8 +1,11 @@
-"""Physical constants (SI, CODATA via scipy)."""
+"""Physical constants (SI).  Since the 2019 redefinition of the SI units,
+h, kB and c are exact by definition, so these are their defining values."""
 
-from scipy.constants import hbar as HBAR  # J s
-from scipy.constants import k as KB  # J / K
-from scipy.constants import c as C_LIGHT  # m / s
+import math
+
+HBAR = 6.62607015e-34 / (2.0 * math.pi)  # J s
+KB = 1.380649e-23  # J / K
+C_LIGHT = 299792458.0  # m / s
 
 TWO_PI = 6.283185307179586
 

@@ -24,20 +24,17 @@ ill-conditioned eigenbasis falls back to the frequency-domain integral
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyder, polyval
-from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
-from scipy.special import exp1, zeta
 
 from .constants import HBAR, KB
 from .errors import (DegenerateLyapunovError, NumericalError, QuadratureError,
                      UnstableDriftError)
-from .kernels import _w_coth, kernel_closed
+from .kernels import BERNOULLI_2K, _w_coth, kernel_closed
 from .params import SteadyState, SystemParams
 
 __all__ = [
@@ -61,8 +58,19 @@ _TRANSIENT_NODES = 7
 _MAX_TERMS = 1 << 16
 # relative error budget of the Brownian diffusion
 _DIFFUSION_TOL = 1e-7
-# Taylor coefficients zeta(2k+2)/pi^(2k+2) of brownian_laplace's h(y) in y^2
-_H_TAYLOR = zeta(2.0 * np.arange(1, 13)) / np.pi ** (2.0 * np.arange(1, 13))
+# Taylor coefficients zeta(2k)/pi^(2k) = |B_2k| 2^(2k-1)/(2k)!, k = 1..12, of
+# brownian_laplace's h(y) in y^2, each rounded once from the exact rational
+_H_TAYLOR = np.array([abs(num) * 2 ** (2 * k - 1) / (den * math.factorial(2 * k))
+                      for k, (num, den) in enumerate(BERNOULLI_2K, 1)])
+# Lentz's method for e^w E1(w): stop once a step changes the value by less
+# than _CF_EPS; more steps than the 500 partial numerators -k^2 mean an
+# argument outside its domain
+_CF_EPS = 2.0 ** -52
+_CF_NUMERATORS = tuple(-float(k * k) for k in range(1, 501))
+# up to this many arguments the fraction runs one argument at a time
+_CF_SCALAR_MAX = 8
+# 1/k for the power series of E1, enough terms for |w| <= 40
+_INV_K = 1.0 / np.arange(1.0, 160.0)
 # coefficients (-1)^m (2m)! and (-1)^m (2m+1)! of the series of f and g in 1/z^2
 _F_ASYM = np.array([(-1.0) ** m * math.factorial(2 * m) for m in range(18)])
 _G_ASYM = np.array([(-1.0) ** m * math.factorial(2 * m + 1) for m in range(18)])
@@ -92,24 +100,21 @@ class DriftMatrix:
         return bool(np.all(self.spectrum[0].real < 0.0))
 
     @cached_property
-    def lyapunov_operator(self):
-        """(K, (lu, piv)): the 16x16 Kronecker operator K = A (+) A of
-        s -> A s + s A^T on the scaled drift and its LU factorization.
-        Raises DegenerateLyapunovError when K is singular."""
-        eye = np.eye(4)
-        big = np.kron(self.matrix_scaled, eye) + np.kron(eye, self.matrix_scaled)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)  # pivot check below
-                lu, piv = lu_factor(big)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise DegenerateLyapunovError(
-                "Lyapunov operator factorization failed") from exc
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= 1e-14 * diag.max():
+    def lyapunov_operator(self) -> np.ndarray:
+        """The 16x16 Kronecker operator K = A (+) A = A x I + I x A of
+        s -> A s + s A^T on the scaled drift.
+
+        Its eigenvalues are the sums lambda_i + lambda_j of the drift's
+        eigenvalues (Horn & Johnson, Topics in Matrix Analysis, Sec. 4.4),
+        so the shared ``spectrum`` decides singularity: DegenerateLyapunovError
+        when min |lambda_i + lambda_j| <= 1e-14 max |lambda_i + lambda_j|."""
+        lam = self.spectrum[0]
+        sums = np.abs(lam[:, None] + lam[None, :])
+        if sums.min() <= 1e-14 * sums.max():
             raise DegenerateLyapunovError(
                 "Lyapunov operator is singular (eigenvalue pair summing to zero)")
-        return big, (lu, piv)
+        eye = np.eye(4)
+        return np.kron(self.matrix_scaled, eye) + np.kron(eye, self.matrix_scaled)
 
 
 @dataclass(frozen=True)
@@ -193,21 +198,110 @@ def _tau_grid(params: SystemParams):
     return taus, wts, t_end
 
 
+def _exp_e1_series(w, r_max: float):
+    """e^w E1(w) from the power series E1(w) = -gamma - ln w
+    - sum_k (-w)^k / (k k!) (DLMF 6.6.2), summed to ceil(e r_max) + 30
+    terms (r_max >= |w|), past which the terms fall below round-off of the
+    result."""
+    inv_k = _INV_K[:math.ceil(math.e * r_max) + 30]
+    terms = np.cumprod(-w[:, None] * inv_k, axis=1)  # (-w)^k / k!
+    return np.exp(w) * (-np.euler_gamma - np.log(w) - terms @ inv_k)
+
+
+def _exp_e1_fraction(w):
+    """e^w E1(w) from the continued fraction of DLMF 6.9.1 in its even
+    form 1/(w+1 - 1^2/(w+3 - 2^2/(w+5 - ...))), by Lentz's method.
+
+    Step k multiplies the value by C_k D_k, with D_k = 1/(b_k + a_k D_(k-1))
+    and 1/C_k = 1/(b_k + a_k / C_(k-1)) (C_0 = inf): the same map, so for
+    many arguments both run as the two rows of one array.  An argument
+    stops once its step is within _CF_EPS of 1, so its value does not
+    depend on the other arguments.  A handful of arguments runs one by one
+    in scalar arithmetic: there each array step would cost more in call
+    overhead than the whole scalar fraction."""
+    if w.size <= _CF_SCALAR_MAX:
+        return np.array([_lentz(v) for v in w.tolist()], dtype=complex)
+    out = np.empty_like(w)
+    left = np.arange(w.size)
+    b = w + 1.0
+    u = np.stack([1.0 / b, np.zeros_like(w)])
+    h = u[0].copy()
+    for a in _CF_NUMERATORS:
+        b += 2.0
+        u *= a
+        u += b
+        np.reciprocal(u, out=u)
+        step = u[0] / u[1]
+        h *= step
+        done = np.abs(step - 1.0) < _CF_EPS
+        if done.any():
+            out[left[done]] = h[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            left, b, u, h = left[keep], b[keep], u[:, keep], h[keep]
+    raise NumericalError("continued fraction of E1 did not converge",
+                         details={"arguments": w[left].tolist()})
+
+
+def _lentz(w: complex) -> complex:
+    """_exp_e1_fraction at one argument, in scalar arithmetic."""
+    b = w + 1.0
+    d, e = 1.0 / b, 0.0
+    h = d
+    for a in _CF_NUMERATORS:
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        e = 1.0 / (b + a * e)
+        step = d / e
+        h *= step
+        if abs(step - 1.0) < _CF_EPS:
+            return h
+    raise NumericalError("continued fraction of E1 did not converge",
+                         details={"arguments": [w]})
+
+
+def _exp_e1(w):
+    """e^w E1(w) for complex w off the negative real axis, |w| <= 40: the
+    power series where |w| < 2, or where Re w < 0 and |Im w| < 4 (near the
+    cut, where the continued fraction converges slowly), the continued
+    fraction elsewhere."""
+    w = np.asarray(w, dtype=complex)
+    out = np.empty_like(w)
+    r = np.abs(w)
+    series = (r < 2.0) | ((w.real < 0.0) & (np.abs(w.imag) < 4.0))
+    if series.any():
+        out[series] = _exp_e1_series(w[series], float(np.max(r[series])))
+    if not series.all():
+        out[~series] = _exp_e1_fraction(w[~series])
+    return out
+
+
 def _aux_fg(z, with_g: bool = True):
-    """Auxiliary functions f(z), g(z) of DLMF 6.2(ii), Re z > 0; above
-    |z| = 40, where the exponentials of the E1 form overflow, their
-    asymptotic series (DLMF 6.12.3-4), exact to rounding there.  The
-    series are summed only when some |z| > 40; g is None unless with_g."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        qm, qp = np.exp(-1j * z) * exp1(-1j * z), np.exp(1j * z) * exp1(1j * z)
-    f = (qm - qp) / 2j
-    g = (qm + qp) / 2.0 if with_g else None
+    """Auxiliary functions f(z), g(z) of DLMF 6.2(ii), Re z > 0.
+
+    Up to |z| = 40 they come from q(w) = e^w E1(w) at w = -iz and iz:
+    f = (q(-iz) - q(iz)) / 2i, g = (q(-iz) + q(iz)) / 2.
+    Above |z| = 40 the asymptotic series in 1/z^2 (DLMF 6.12.3-4) is exact
+    to rounding; it is summed only when some |z| > 40.  g is None unless
+    with_g."""
+    z = np.asarray(z, dtype=complex)
+    f = np.empty(z.shape, dtype=complex)
+    g = np.empty(z.shape, dtype=complex) if with_g else None
     big = np.abs(z) > 40.0
-    if big.any():
-        w = 1.0 / (z * z)
-        f = np.where(big, polyval(w, _F_ASYM) / z, f)
+    if not big.all():
+        zs = z[~big]
+        q = _exp_e1(np.concatenate([-1j * zs, 1j * zs]))
+        qm, qp = q[:zs.size], q[zs.size:]
+        f[~big] = (qm - qp) / 2j
         if with_g:
-            g = np.where(big, polyval(w, _G_ASYM) * w, g)
+            g[~big] = (qm + qp) / 2.0
+    if big.any():
+        zb = z[big]
+        w = 1.0 / (zb * zb)
+        f[big] = polyval(w, _F_ASYM) / zb
+        if with_g:
+            g[big] = polyval(w, _G_ASYM) * w
     return f, g
 
 
@@ -341,19 +435,22 @@ def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix):
 
 
 def lyapunov_solve(a: DriftMatrix, d: np.ndarray):
-    """Solve A s + s A^T = -D on the scaled drift through its factorized
-    16x16 Kronecker operator (``DriftMatrix.lyapunov_operator``), so every
-    right-hand side at one drift shares one LU.
+    """Solve A s + s A^T = -D on the scaled drift through its 16x16
+    Kronecker operator (``DriftMatrix.lyapunov_operator``), built once per
+    drift and shared by every right-hand side there.
 
     One step of iterative refinement keeps the relative residual at the
     rounding floor.  Returns (sigma, residual).
     """
-    big, lu_piv = a.lyapunov_operator
+    big = a.lyapunov_operator
     a_s = a.matrix_scaled
     d = np.asarray(d, dtype=float)
     rhs = -d.ravel()
-    x = lu_solve(lu_piv, rhs)
-    x -= lu_solve(lu_piv, big @ x - rhs)
+    try:
+        x = np.linalg.solve(big, rhs)
+        x -= np.linalg.solve(big, big @ x - rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateLyapunovError("Lyapunov operator is singular") from exc
     sigma = x.reshape(4, 4)
     sigma = 0.5 * (sigma + sigma.T)
     res = np.linalg.norm(a_s @ sigma + sigma @ a_s.T + d) / (np.linalg.norm(d) + 1e-300)
@@ -370,6 +467,8 @@ def stationary_covariance(a: DriftMatrix, d: DiffusionMatrix) -> CovarianceMatri
 
 def _van_loan_step(a_scaled: np.ndarray, d_scaled: np.ndarray, h: float):
     """(E, Q) with E = exp(A h), Q = int_0^h exp(A s) D exp(A^T s) ds."""
+    from scipy.linalg import expm  # see kernels._kernel_quad
+
     blk = np.zeros((8, 8))
     blk[:4, :4] = -a_scaled
     blk[:4, 4:] = d_scaled

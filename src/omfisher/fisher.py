@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import DerivativeUndefinedError, DomainError, UnphysicalStateError
 from .errors import AmbiguousBranchError
@@ -155,19 +154,41 @@ def theta_max(sigma: np.ndarray, dsigma: np.ndarray, eta: float = 1.0) -> ThetaM
     For eta = 1 the maximizer of the squared generalized Rayleigh quotient
     is the generalized eigenvector of (dsigma, sigma) whose eigenvalue has
     the largest magnitude (CFI depends on the quotient squared, so sign is
-    irrelevant).  For eta < 1 a 360-point grid plus golden-section
-    refinement maximizes cfi_bhd directly.
+    irrelevant); a tie goes to the negative eigenvalue.  The 2x2 problem is
+    solved in closed form from the lower triangles: with sigma = L L^T
+    (Cholesky), M = L^-1 dsigma L^-T is symmetric, a Jacobi rotation by
+    phi = atan2(2 M_10, M_00 - M_11) / 2 diagonalizes it with eigenvalues
+    m +- r (m the mean of its diagonal, r = hypot((M_00 - M_11)/2, M_10)),
+    and v = L^-T y maps its eigenvector y back.  The pair is flagged
+    degenerate when the magnitudes of the two eigenvalues, |m + r| and
+    |m - r|, differ by 2 min(|m|, r) <= 1e-9 (|m| + r).  For eta < 1 a
+    360-point grid plus golden-section refinement maximizes cfi_bhd
+    directly.
     """
     sigma = np.asarray(sigma, dtype=float)
     dsigma = np.asarray(dsigma, dtype=float)
     _sigma_inv(sigma)  # positive-definite gate
-    vals, vecs = eigh(np.asarray(dsigma), b=sigma)
-    idx = int(np.argmax(np.abs(vals)))
-    lam_max = float(vals[idx])
-    spread = abs(abs(vals[0]) - abs(vals[1]))
-    degenerate = spread <= 1e-9 * max(np.max(np.abs(vals)), 1e-300)
-    v = vecs[:, idx]
-    theta = math.atan2(v[1], v[0]) % math.pi
+    (s00, _), (s10, s11) = sigma.tolist()
+    (p00, _), (p10, p11) = dsigma.tolist()
+    l00 = math.sqrt(s00)
+    l10 = s10 / l00
+    l11 = math.sqrt(s11 - l10 * l10)
+    y10 = (p10 - l10 * (p00 / l00)) / l11  # (L^-1 dsigma)_10
+    m00 = p00 / s00
+    m10 = y10 / l00
+    m11 = ((p11 - l10 * (p10 / l00)) / l11 - l10 * m10) / l11
+    mean, half = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    r = math.hypot(half, m10)
+    phi = 0.5 * math.atan2(m10, half)
+    if r == 0.0:  # dsigma proportional to sigma: every phase ties; take 0
+        lam_max, y0, y1 = mean, 1.0, 0.0
+    elif mean > 0.0:
+        lam_max, y0, y1 = mean + r, math.cos(phi), math.sin(phi)
+    else:
+        lam_max, y0, y1 = mean - r, -math.sin(phi), math.cos(phi)
+    degenerate = 2.0 * min(abs(mean), r) <= 1e-9 * max(abs(mean) + r, 1e-300)
+    v1 = y1 / l11
+    theta = math.atan2(v1, (y0 - l10 * v1) / l00) % math.pi
 
     if eta >= 1.0:
         return ThetaMaxResult(theta=theta, lambda_max=lam_max, degenerate=degenerate)

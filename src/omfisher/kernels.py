@@ -32,12 +32,14 @@ __all__ = [
 # error budget of the kernel quadrature, relative to int J coth dw
 _QUAD_TOL = 1e-9
 
-# Bernoulli numbers B_2..B_20 for the asymptotic tail of trigamma.
-_BERNOULLI = (
-    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
-    -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
-    -174611.0 / 330.0,
+# Bernoulli numbers B_2..B_24 as exact (numerator, denominator) pairs
+BERNOULLI_2K = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730),
 )
+# B_2..B_20, correctly rounded, for the asymptotic tail of trigamma
+_BERNOULLI = tuple(num / den for num, den in BERNOULLI_2K[:10])
 
 
 def trigamma(z):

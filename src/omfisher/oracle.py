@@ -31,14 +31,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, NumericalError, UnphysicalStateError
 
 __all__ = [
     "FockState",
     "gaussian_to_fock",
-    "fock_moments",
     "qfi_fock",
     "qfi_fock_converged",
     "cfi_numeric",
@@ -73,13 +71,6 @@ class FockState:
             rho[parity::2, parity::2] = (s * self.weights[parity::2]) @ s.T
         phase = np.exp(1j * self.phi * np.arange(self.n_max + 1))
         return phase[:, None] * rho * phase.conj()
-
-
-def _ladder(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1))
-    ns = np.arange(1, n_max + 1)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
 
 
 def default_n_max(nu_bar: float) -> int:
@@ -136,6 +127,8 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
 def _k0_spectrum(parity: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (Lambda, Q) of B = D^-1 K0 D / (-i) on one parity block,
     computed on first use and shared by every state with that block."""
+    from scipy.linalg import eigh_tridiagonal  # see kernels._kernel_quad
+
     n = parity + 2.0 * np.arange(size)
     b = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
     lam, q = eigh_tridiagonal(np.zeros(size), b)
@@ -163,24 +156,6 @@ def _squeeze_block(parity: int, size: int, r: float) -> np.ndarray:
     s = (q * np.sin(r * lam)) @ q.T
     d = np.subtract.outer(np.arange(size), np.arange(size)) % 4
     return np.where(d % 2 == 0, c, s) * np.where(d < 2, 1.0, -1.0)
-
-
-def fock_moments(state: FockState) -> np.ndarray:
-    """Covariance matrix of (X, Y) recovered from the Fock density matrix;
-    round-trip check for gaussian_to_fock."""
-    a = _ladder(state.n_max)
-    adag = a.T
-    x = (a + adag) / math.sqrt(2.0)
-    y = 1j * (adag - a) / math.sqrt(2.0)
-    rho = state.rho
-
-    def ev(op):
-        return float(np.real(np.trace(rho @ op)))
-
-    xx = ev(x @ x)
-    yy = ev(y @ y)
-    xy = 0.5 * ev(x @ y + y @ x)
-    return np.array([[xx, xy], [xy, yy]])
 
 
 def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> float:

@@ -40,7 +40,7 @@ def test_runs_merge_into_one_file(bench, tmp_path):
     for label, n in (("parent", 3), ("change", 2)):
         run = record["runs"][label]
         assert set(run) == {"omfisher", "derivative_method_default", "environment",
-                            "stages_ms", "end_to_end_s"}
+                            "stages_ms", "end_to_end_s", "import"}
         assert run["derivative_method_default"] == "derivative-lyapunov"
         env = run["environment"]
         for key in ("python", "numpy", "scipy", "blas", "cpu_count",
@@ -51,10 +51,14 @@ def test_runs_merge_into_one_file(bench, tmp_path):
                       "stationary_covariance (Lyapunov solve)",
                       "coupling derivative, implicit Lyapunov",
                       "coupling derivative, Richardson FD",
-                      "fisher_report (auto theta, default settings)"):
+                      "fisher_report (auto theta, default settings)",
+                      "fisher_report at T = 1e-5 K"):
             _check_timing(run["stages_ms"][stage], n)
         assert set(run["end_to_end_s"]) == {"fig4a"}
         _check_timing(run["end_to_end_s"]["fig4a"], 1)
+        assert set(run["import"]) == {"cpu_s", "peak_rss_mb"}
+        for entry in run["import"].values():
+            _check_timing(entry, 1)
 
 
 def test_repeat_must_be_positive(bench):

@@ -482,18 +482,35 @@ class TestCli:
         assert main(["validate", "--only", "nonsense"]) == 1
 
 
-def test_production_path_does_not_import_scipy_integrate():
-    """scipy.integrate serves only the quadrature oracles (kernel quadrature
-    and the frequency-domain diffusion), so importing the package, the CLI
-    and validate and running one report leaves it unloaded."""
-    code = ("import sys, omfisher, omfisher.cli, omfisher.validate\n"
+def test_production_path_does_not_import_scipy_integrate(tmp_path):
+    """scipy serves only validate's oracles (the kernel and frequency-domain
+    quadratures, the transient oracle's expm and the Fock oracle), so no
+    scipy module is loaded by importing the package, the CLI and validate,
+    nor by running one report, an omega_k sweep at eta = 1, an eta sweep
+    below 1 or ``omfisher sweep``, each in a fresh process."""
+    head = ("import sys, omfisher, omfisher.cli, omfisher.validate\n"
+            "from omfisher.config import apply_preset, load_config\n"
             "from omfisher.params import rossi_params\n"
             "from omfisher.pipeline import build_measurement, fisher_report\n"
-            "p = rossi_params()\n"
-            "fisher_report(p, build_measurement(p), auto_theta=True)\n"
-            "print('scipy.integrate' in sys.modules)\n")
+            "from omfisher.sweep import run_sweep\n")
+    cases = {
+        "imports": "",
+        "fisher_report": "p = rossi_params()\n"
+                         "fisher_report(p, build_measurement(p), auto_theta=True)\n",
+        "omega_k sweep": "run_sweep(apply_preset(load_config(None), 'fig1'))\n",
+        "eta sweep": "cfg = apply_preset(load_config(None), 'fig2')\n"
+                     "assert cfg.sweep.variable == 'eta' and min(cfg.sweep.grid()) < 1\n"
+                     "run_sweep(cfg)\n",
+        "omfisher sweep": "assert omfisher.cli.main(['sweep', '--preset', 'fig4a', "
+                          f"'--out', {str(tmp_path / 'fig4a.csv')!r}]) == 0\n",
+    }
+    tail = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src},
-                          check=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    procs = {name: subprocess.Popen([sys.executable, "-c", head + body + tail],
+                                    stdout=subprocess.PIPE, text=True,
+                                    env={**os.environ, "PYTHONPATH": src})
+             for name, body in cases.items()}
+    for name, proc in procs.items():
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, name
+        assert out.strip().splitlines()[-1] == "[]", (name, out)

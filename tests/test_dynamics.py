@@ -219,6 +219,47 @@ class TestLyapunovSolve:
         with pytest.raises(DegenerateLyapunovError, match="singular"):
             lyapunov_solve(a, np.eye(4))
 
+    def test_near_degenerate_pair_raises(self):
+        """An eigenvalue pair summing to 1e-16 of the largest sum leaves the
+        operator invertible in floating point; the spectrum check rejects it."""
+        a = _bare_drift(np.diag([1.0, -1.0 + 1e-15, 3.0, -5.0]))
+        with pytest.raises(DegenerateLyapunovError, match="singular"):
+            lyapunov_solve(a, np.eye(4))
+
+    def test_singular_solve_raises_degenerate(self):
+        """A LinAlgError from the solve surfaces as DegenerateLyapunovError."""
+        a = _bare_drift(-np.eye(4))
+        a.__dict__["lyapunov_operator"] = np.zeros((16, 16))  # the cached operator
+        with pytest.raises(DegenerateLyapunovError, match="singular"):
+            lyapunov_solve(a, np.eye(4))
+
+    def test_stable_drift_just_below_threshold_solves(self):
+        """At g = (1 - 1e-6) g_c, below the instability threshold in g
+        (g_c = 18.4755 g0, the mechanical pair reaching Re lambda = 0), the
+        smallest eigenvalue sum is 3e-12 of the largest, so the degeneracy
+        check passes, and the solve returns a finite covariance.  Its
+        residual, 1.5e-7, is the rounding of A sigma at ||sigma|| ~ 5e11."""
+        p0 = rossi_params()
+
+        def stable(g):
+            p = p0.with_(g_freq=g)
+            return drift_matrix(p, steady_state(p)).stable
+
+        lo, hi = 18.0 * p0.g_freq, 19.0 * p0.g_freq
+        assert stable(lo) and not stable(hi)
+        while hi - lo > 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+        assert lo / p0.g_freq == pytest.approx(18.4755, abs=1e-4)
+        p = p0.with_(g_freq=(1.0 - 1e-6) * lo)
+        a = drift_matrix(p, steady_state(p))
+        lam = a.spectrum[0]
+        assert a.stable and np.max(lam.real) > -1e-2
+        d = diffusion_matrix(p, a)
+        cov = stationary_covariance(a, d)
+        assert np.all(np.isfinite(cov.matrix_scaled))
+        assert cov.residual < 1e-6
+
     def test_residual_invariant(self, rossi_point):
         _, _, a, d = rossi_point
         cov = stationary_covariance(a, d)
@@ -273,15 +314,16 @@ class TestDerivativeConsistency:
 
 class TestOneSpectrum:
     """Each cavity state decomposes its drift matrix once, evaluates the
-    Laplace transforms of the kernel once and factorizes its Lyapunov
-    operator once: the stability verdict, the Brownian diffusion, sigma and
-    the implicit derivative share them."""
+    Laplace transforms of the kernel once and builds its Lyapunov operator
+    once: the stability verdict, the Brownian diffusion, sigma and the
+    implicit derivative share them."""
 
     @staticmethod
     def _count(monkeypatch):
+        from functools import cached_property
         import omfisher.dynamics as dyn
         import omfisher.pipeline as pipe
-        calls = {"eig": 0, "eigvals": 0, "brownian_laplace": 0, "lu_factor": 0}
+        calls = {"eig": 0, "eigvals": 0, "brownian_laplace": 0, "operator": 0}
 
         def counted(real, name):
             def wrapper(*args, **kw):
@@ -294,7 +336,10 @@ class TestOneSpectrum:
         laplace = counted(dyn.brownian_laplace, "brownian_laplace")
         monkeypatch.setattr(dyn, "brownian_laplace", laplace)
         monkeypatch.setattr(pipe, "brownian_laplace", laplace)
-        monkeypatch.setattr(dyn, "lu_factor", counted(dyn.lu_factor, "lu_factor"))
+        build = cached_property(
+            counted(DriftMatrix.__dict__["lyapunov_operator"].func, "operator"))
+        build.__set_name__(DriftMatrix, "lyapunov_operator")
+        monkeypatch.setattr(DriftMatrix, "lyapunov_operator", build)
         return calls
 
     def test_cavity_covariance(self, monkeypatch):
@@ -302,7 +347,7 @@ class TestOneSpectrum:
         p = rossi_params()
         calls = self._count(monkeypatch)
         cavity_covariance(p)
-        assert calls == {"eig": 1, "eigvals": 0, "brownian_laplace": 1, "lu_factor": 1}
+        assert calls == {"eig": 1, "eigvals": 0, "brownian_laplace": 1, "operator": 1}
 
     @pytest.mark.parametrize("method, solves", [(None, 1), ("derivative-lyapunov", 1),
                                                 ("finite-difference", 5)])
@@ -316,7 +361,7 @@ class TestOneSpectrum:
         calls = self._count(monkeypatch)
         fisher_report(p, spec, settings, auto_theta=True)
         assert calls == {"eig": solves, "eigvals": 0, "brownian_laplace": solves,
-                         "lu_factor": solves}
+                         "operator": solves}
 
     def test_frequency_path_evaluates_laplace_for_derivative(self, monkeypatch):
         """The frequency path keeps no Laplace transforms, so the implicit
@@ -332,31 +377,84 @@ class TestOneSpectrum:
                                               dlaplace=None, path="frequency"))
         calls = self._count(monkeypatch)
         assert np.array_equal(_cavity_derivative_lyapunov(p, settings, freq), d_ref)
-        assert calls["brownian_laplace"] == 1 and calls["lu_factor"] == 0
+        assert calls["brownian_laplace"] == 1 and calls["operator"] == 0
 
-    @pytest.mark.parametrize("temperature, f_series", [(0.0, 0), (11.0, 1)])
+    @pytest.mark.parametrize("temperature, f_series", [(0.0, 0), (0.01, 1), (11.0, 1)])
     def test_asymptotic_series_only_where_needed(self, monkeypatch, temperature,
                                                  f_series):
         """Every drift eigenvalue has |z| = |lambda|/W < 40 at the baseline, so
-        diffusion_matrix sums no asymptotic series for them; at T > 0 the
-        Matsubara nodes (|z| > 40) need the series of f alone."""
+        diffusion_matrix sums no asymptotic series for them; at T >= 0.01 K
+        every Matsubara node has |z| > 40 and needs the series of f alone, and
+        e^w E1(w) runs only at the 8 arguments +-i z of the eigenvalues."""
         import omfisher.dynamics as dyn
         p = rossi_params(temperature=temperature)
         a = drift_matrix(p, steady_state(p))
         assert np.all(np.abs(a.spectrum[0]) / p.cutoff < 40.0)
         coeffs, real = [], dyn.polyval
+        sizes, real_e1 = [], dyn._exp_e1
 
         def recording(x, c, *args, **kw):
             coeffs.append(c)
             return real(x, c, *args, **kw)
 
+        def recording_e1(w):
+            sizes.append(np.size(w))
+            return real_e1(w)
+
         monkeypatch.setattr(dyn, "polyval", recording)
+        monkeypatch.setattr(dyn, "_exp_e1", recording_e1)
         diffusion_matrix(p, a)
         assert not any(c is dyn._G_ASYM for c in coeffs)
         assert sum(c is dyn._F_ASYM for c in coeffs) == f_series
+        assert sizes == [8]
 
     def test_spectrum_error_is_numerical(self):
         from omfisher.errors import NumericalError
         bad = np.full((4, 4), np.nan)
         with pytest.raises(NumericalError):
             DriftMatrix(matrix_scaled=bad).stable
+
+
+class TestSpecialFunctions:
+    """The library's own e^w E1(w) and Taylor coefficients of h(y) against
+    scipy.special, which only the tests import."""
+
+    # scipy's exp1, as e^w E1(w) at w = +-iz, Re z > 0, |z| in [1e-4, 40],
+    # is within 1.1e-12 of a 50-digit evaluation, at worst near |w| = 5;
+    # the library's form is within 2.2e-14 on the same arguments
+    SCIPY_EXP1_RTOL = 1.2e-12
+
+    @staticmethod
+    def _arguments():
+        rng = np.random.default_rng(5)
+        r = np.concatenate([10.0 ** rng.uniform(-4.0, math.log10(40.0), 3000),
+                            rng.uniform(4.0, 6.0, 1000)])
+        phase = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, r.size)
+        phase[:200] = 0.0  # Matsubara nodes: z real
+        phase[200:400] = np.copysign(0.5 * math.pi - 1e-6, phase[200:400])
+        z = r * np.exp(1j * phase)
+        return np.concatenate([-1j * z, 1j * z])
+
+    def test_exp_e1_matches_scipy(self):
+        from scipy.special import exp1
+        from omfisher.dynamics import _exp_e1
+        w = self._arguments()
+        ref = np.exp(w) * exp1(w)
+        assert np.all(np.abs(w) <= 40.0 + 1e-9) and np.min(np.abs(w)) < 2e-4
+        # one call takes the array path, calls of 8 the per-argument one
+        batched = _exp_e1(w)
+        single = np.concatenate([_exp_e1(w[i:i + 8]) for i in range(0, w.size, 8)])
+        for value in (batched, single):
+            assert np.max(np.abs(value - ref) / np.abs(ref)) < self.SCIPY_EXP1_RTOL
+        assert np.max(np.abs(batched - single) / np.abs(single)) < 1e-14
+
+    def test_h_taylor_matches_zeta(self):
+        """zeta(2k)/pi^2k from the Bernoulli rationals against scipy's zeta,
+        divided by a 50-digit pi in exact rational arithmetic: 1 ulp."""
+        from fractions import Fraction
+        from scipy.special import zeta
+        from omfisher.dynamics import _H_TAYLOR
+        pi = Fraction(314159265358979323846264338327950288419716939937510, 10 ** 50)
+        ref = np.array([float(Fraction(float(zeta(2.0 * k))) / pi ** (2 * k))
+                        for k in range(1, 13)])
+        assert np.all(np.abs(_H_TAYLOR - ref) <= np.spacing(ref))

@@ -278,6 +278,41 @@ class TestThetaMax:
         res = theta_max(np.eye(2), np.eye(2))
         assert res.degenerate
 
+    def test_closed_form_matches_scipy_eigh(self):
+        """The closed-form 2x2 solve against scipy.linalg.eigh(dsigma,
+        b=sigma) on a seeded grid: theta mod pi, lambda_max and the
+        degenerate flag, including the zero derivative, a +-r tie, pairs 1e-12
+        (degenerate) and 1e-6 (not) apart in magnitude, and ds = c sigma."""
+        from scipy.linalg import eigh
+        rng = np.random.default_rng(20261019)
+        cases = []
+        for _ in range(400):
+            a = rng.normal(size=(2, 2))
+            sigma = a @ a.T + rng.uniform(0.05, 2.0) * np.eye(2)
+            b = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-6, 2)
+            cases.append((sigma, b + b.T))
+        sigma = np.array([[1.7, -0.3], [-0.3, 0.9]])
+        cases += [(sigma, np.zeros((2, 2))), (sigma, 2.5 * sigma),
+                  (sigma, -0.4 * sigma), (np.eye(2), np.diag([1.0, -1.0]))]
+        for eps in (1e-12, 1e-6):
+            cases.append((sigma, 0.8 * sigma + eps * np.array([[0.3, 0.1], [0.1, -0.2]])))
+            cases.append((np.eye(2), np.diag([2.0, -2.0 * (1.0 + eps)])))
+        flags = set()
+        for sigma, dsigma in cases:
+            vals, vecs = eigh(dsigma, b=sigma)
+            idx = int(np.argmax(np.abs(vals)))
+            peak = max(np.max(np.abs(vals)), 1e-300)
+            spread = abs(abs(vals[0]) - abs(vals[1]))
+            res = theta_max(sigma, dsigma)
+            assert res.lambda_max == pytest.approx(vals[idx], rel=1e-12, abs=1e-15 * peak)
+            assert res.degenerate == (spread <= 1e-9 * peak)
+            flags.add(res.degenerate)
+            if spread > 1e-6 * peak or not dsigma.any():
+                want = math.atan2(vecs[1, idx], vecs[0, idx]) % math.pi
+                gap = abs(res.theta - want)
+                assert min(gap, math.pi - gap) < 1e-10
+        assert flags == {True, False}
+
 
 class TestDsigmaDg:
     def test_constant_pipeline(self):

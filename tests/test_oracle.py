@@ -8,8 +8,33 @@ import pytest
 from scipy.linalg import expm
 
 from omfisher.errors import DomainError, NumericalError, UnphysicalStateError
-from omfisher.oracle import (FockState, cfi_numeric, default_n_max, fock_moments,
+from omfisher.oracle import (FockState, cfi_numeric, default_n_max,
                              gaussian_to_fock, qfi_fock, qfi_fock_converged)
+
+
+def _ladder(n_max: int) -> np.ndarray:
+    a = np.zeros((n_max + 1, n_max + 1))
+    ns = np.arange(1, n_max + 1)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a
+
+
+def fock_moments(state: FockState) -> np.ndarray:
+    """Covariance matrix of (X, Y) recovered from the Fock density matrix;
+    round-trip check for gaussian_to_fock."""
+    a = _ladder(state.n_max)
+    adag = a.T
+    x = (a + adag) / math.sqrt(2.0)
+    y = 1j * (adag - a) / math.sqrt(2.0)
+    rho = state.rho
+
+    def ev(op):
+        return float(np.real(np.trace(rho @ op)))
+
+    xx = ev(x @ x)
+    yy = ev(y @ y)
+    xy = 0.5 * ev(x @ y + y @ x)
+    return np.array([[xx, xy], [xy, yy]])
 
 
 def _squeezed_thermal(nu, r, phi):

@@ -52,6 +52,14 @@ def bisect_root(params, eps, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def test_constants_equal_scipy_codata():
+    """The exact SI 2019 values, bit for bit the ones scipy.constants gives."""
+    import scipy.constants as sc
+    from omfisher.constants import C_LIGHT, KB
+    assert (HBAR, KB, C_LIGHT) == (sc.hbar, sc.k, sc.c)
+    assert TWO_PI == 2.0 * math.pi
+
+
 class TestCouplingToSi:
     def test_zero(self):
         assert coupling_to_si(0.0, 16e-12, TWO_PI * 1.14e6) == 0.0
