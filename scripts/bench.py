@@ -68,6 +68,7 @@ def _time(body, setup, n: int) -> list:
 def _stages(n: int) -> dict:
     from omfisher.dynamics import diffusion_matrix, drift_matrix, stationary_covariance
     from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
+    from omfisher.oracle import richardson_dsigma_opt
     from omfisher.output import output_covariance, output_map
     from omfisher.params import rossi_params, steady_state
     from omfisher.pipeline import (PipelineSettings, build_measurement,
@@ -77,7 +78,6 @@ def _stages(n: int) -> dict:
     cold = rossi_params(temperature=1e-5)  # 256 Matsubara terms, 174 at |z| <= 40
     cold_spec = build_measurement(cold)
     default = PipelineSettings()
-    fd = PipelineSettings(derivative_method="finite-difference")
     ss = steady_state(p)
     d = diffusion_matrix(p, drift_matrix(p, ss))
 
@@ -106,8 +106,7 @@ def _stages(n: int) -> dict:
         "coupling derivative, implicit Lyapunov":
             (lambda c: cavity_dsigma_opt(p, default, c),
              lambda: cavity_covariance(p, default)),
-        "coupling derivative, Richardson FD":
-            (lambda c: cavity_dsigma_opt(p, fd, c), lambda: cavity_covariance(p, fd)),
+        "coupling derivative, Richardson FD": (lambda _: richardson_dsigma_opt(p), None),
         "output map (sigma_out and d sigma_out)": (output_stage, None),
         "qfi_gaussian": (lambda _: qfi_gaussian(sig, dsig), None),
         "cfi_bhd": (lambda _: cfi_bhd(sig, dsig, 0.3, 1.0), None),

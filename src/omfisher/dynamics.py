@@ -169,7 +169,7 @@ def drift_matrix(params: SystemParams, ss: SteadyState) -> DriftMatrix:
 
 def _scaled_kernel(params: SystemParams, tau: np.ndarray) -> np.ndarray:
     """hbar*D_R(tau) expressed in zero-point momentum units: 2 D_R/(m omega_m)."""
-    return kernel_closed(params, tau)[0] * (2.0 / (params.mass * params.omega_m))
+    return kernel_closed(params, tau) * (2.0 / (params.mass * params.omega_m))
 
 
 def _tau_grid(params: SystemParams):
@@ -414,7 +414,7 @@ def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix):
     Returns the block e1 u^T + u e1^T and quad_vec's error estimate of u
     at relative tolerance 1e-10.
     """
-    from scipy.integrate import quad_vec  # see kernels._kernel_quad
+    from scipy.integrate import quad_vec  # see kernels.kernel_dr_numeric
 
     m, wm, gam, T, W = (params.mass, params.omega_m, params.gamma,
                         params.temperature, params.cutoff)
@@ -467,7 +467,7 @@ def stationary_covariance(a: DriftMatrix, d: DiffusionMatrix) -> CovarianceMatri
 
 def _van_loan_step(a_scaled: np.ndarray, d_scaled: np.ndarray, h: float):
     """(E, Q) with E = exp(A h), Q = int_0^h exp(A s) D exp(A^T s) ds."""
-    from scipy.linalg import expm  # see kernels._kernel_quad
+    from scipy.linalg import expm  # see kernels.kernel_dr_numeric
 
     blk = np.zeros((8, 8))
     blk[:4, :4] = -a_scaled

@@ -26,23 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import DerivativeUndefinedError, DomainError, UnphysicalStateError
-from .errors import AmbiguousBranchError
+from .errors import DomainError, UnphysicalStateError
 
 __all__ = [
     "FisherReport",
     "ThetaMaxResult",
-    "fd_step",
-    "dsigma_dg",
     "qfi_gaussian",
     "cfi_bhd",
     "theta_max",
 ]
 
+# step rule of the Richardson oracle, oracle.fd_step; defined here because
+# perfbench/checks.py:33 imports both from this module (ROADMAP item 1)
 FD_STEP_REL = 1e-6
 FD_STEP_FLOOR = 2.0 * math.pi * 1e-3  # rad/s, ~1 mHz in g/2pi terms
 # round-off margin on 4 det(sigma) - 1, shared with oracle.gaussian_to_fock:
@@ -78,32 +76,6 @@ def _sigma_inv(sigma: np.ndarray) -> np.ndarray:
         raise DomainError("sigma must be positive definite")
     return np.array([[sigma[1, 1], -sigma[0, 1]],
                      [-sigma[1, 0], sigma[0, 0]]]) / det
-
-
-def fd_step(g: float, h: float | None = None) -> float:
-    """Step of ``dsigma_dg`` at coupling g: ``h`` when given, else
-    max(FD_STEP_REL |g|, FD_STEP_FLOOR)."""
-    return h if h is not None else max(FD_STEP_REL * abs(g), FD_STEP_FLOOR)
-
-
-def dsigma_dg(pipeline: Callable[[float], np.ndarray], g: float,
-              h: float | None = None) -> np.ndarray:
-    """Derivative of a matrix-valued pipeline with respect to the coupling.
-
-    ``pipeline`` maps g (frequency-convention coupling, rad/s) to a
-    covariance matrix with every other parameter frozen.  Central
-    differences with one Richardson level, step ``fd_step(g, h)``; the
-    implicit derivative-Lyapunov route needs the cavity state and lives
-    in ``pipeline.cavity_dsigma_opt``.
-    """
-    h0 = fd_step(g, h)
-    try:
-        coarse = (pipeline(g + h0) - pipeline(g - h0)) / (2.0 * h0)
-        fine = (pipeline(g + 0.5 * h0) - pipeline(g - 0.5 * h0)) / h0
-    except AmbiguousBranchError as exc:
-        raise DerivativeUndefinedError(
-            f"derivative undefined near a bistability branch boundary at g={g}") from exc
-    return (4.0 * fine - coarse) / 3.0
 
 
 def qfi_gaussian(sigma: np.ndarray, dsigma: np.ndarray) -> float:

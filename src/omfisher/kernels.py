@@ -1,15 +1,14 @@
-"""Non-Markovian Brownian kernels of the ohmic bath whose mass, damping,
+"""Non-Markovian Brownian kernel of the ohmic bath whose mass, damping,
 temperature and cutoff ``SystemParams`` holds.
 
-The symmetric kernel D_R and antisymmetric kernel D_I are defined by
+The symmetric kernel D_R, the one the Brownian diffusion integrates, is
 
     D_R(tau) = int_0^inf dw J(w) cos(w tau) coth(hbar w / (2 kB T)),
-    D_I(tau) = int_0^inf dw J(w) sin(w tau),
 
 with the exponential-cutoff ohmic density J(w) = (2 m gamma / pi) w e^(-w/W).
-Both admit closed forms; D_R involves the complex trigamma function at
-z = (1 - i W tau) kB T / (hbar W).  The closed forms are cross-validated
-against adaptive quadrature of the defining integrals.
+Its closed form involves the complex trigamma function at
+z = (1 - i W tau) kB T / (hbar W), and is cross-validated against adaptive
+quadrature of the defining integral.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "trigamma",
     "kernel_closed",
     "kernel_dr_numeric",
-    "kernel_di_numeric",
 ]
 
 # error budget of the kernel quadrature, relative to int J coth dw
@@ -72,8 +70,8 @@ def trigamma(z):
 
 
 def kernel_closed(params: SystemParams, tau):
-    """Closed-form symmetric kernel D_R(tau) and antisymmetric kernel
-    D_I(tau), as floats at one lag or as arrays on an array of lags."""
+    """Closed-form symmetric kernel D_R(tau), a float at one lag or an
+    array on an array of lags."""
     tau = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(tau)):
         raise DomainError("tau must be finite")
@@ -81,7 +79,6 @@ def kernel_closed(params: SystemParams, tau):
     pref = 2.0 * m * g / math.pi
     x = W * np.atleast_1d(tau)
     den = (x * x + 1.0) ** 2
-    d_i = pref * 2.0 * W * W * x / den
     first = pref * W * W * (x * x - 1.0) / den
     if T == 0.0:
         # (kB T)^2 Psi1(z) -> (hbar W)^2 / (1 - i W tau)^2 as T -> 0
@@ -93,8 +90,8 @@ def kernel_closed(params: SystemParams, tau):
         thermal = (pref / HBAR ** 2) * kt * kt * 2.0 * np.real(trigamma(zz))
     d_r = first + thermal
     if tau.ndim == 0:
-        return float(d_r[0]), float(d_i[0])
-    return d_r, d_i
+        return float(d_r[0])
+    return d_r
 
 
 def _cutoff_upper(params: SystemParams, tol_abs: float) -> float:
@@ -124,9 +121,9 @@ def _w_coth(w: float, temperature: float) -> float:
     return w / math.tanh(x)
 
 
-def _kernel_quad(params: SystemParams, tau: float, kind: str) -> tuple[float, float]:
-    """Adaptive quadrature of a defining integral (QAWO oscillatory weight):
-    (value, absolute error estimate).
+def kernel_dr_numeric(params: SystemParams, tau: float) -> tuple[float, float]:
+    """D_R(tau) and its absolute error estimate by adaptive quadrature
+    (QAWO cosine weight) of the defining integral.
 
     The error budget is _QUAD_TOL relative to the non-oscillatory envelope
     int J coth dw.
@@ -138,14 +135,8 @@ def _kernel_quad(params: SystemParams, tau: float, kind: str) -> tuple[float, fl
     m, g, T, W = params.mass, params.gamma, params.temperature, params.cutoff
     pref = 2.0 * m * g / math.pi
 
-    if kind == "dr":
-        def f(w):
-            return pref * _w_coth(w, T) * math.exp(-w / W)
-        weight = "cos"
-    else:
-        def f(w):
-            return pref * w * math.exp(-w / W)
-        weight = "sin"
+    def f(w):
+        return pref * _w_coth(w, T) * math.exp(-w / W)
 
     scale, _ = quad(f, 0.0, 20.0 * W, limit=200)
     scale = abs(scale) + 1e-300
@@ -154,11 +145,9 @@ def _kernel_quad(params: SystemParams, tau: float, kind: str) -> tuple[float, fl
 
     abs_tau = abs(tau)
     if abs_tau == 0.0:
-        if kind == "di":
-            return 0.0, 0.0
         val, err = quad(f, 0.0, upper, epsabs=0.5 * tol_abs, epsrel=1e-12, limit=400)
     else:
-        res = quad(f, 0.0, upper, weight=weight, wvar=abs_tau,
+        res = quad(f, 0.0, upper, weight="cos", wvar=abs_tau,
                    epsabs=0.5 * tol_abs, epsrel=1e-12, limit=400, maxp1=100,
                    full_output=1)
         if len(res) > 3:
@@ -170,18 +159,4 @@ def _kernel_quad(params: SystemParams, tau: float, kind: str) -> tuple[float, fl
         raise QuadratureError(
             f"kernel quadrature error {err:.3e} exceeds budget {tol_abs:.3e}",
             estimate=val)
-    if kind == "dr":
-        return val, err
-    return math.copysign(1.0, tau) * val, err
-
-
-def kernel_dr_numeric(params: SystemParams, tau: float) -> tuple[float, float]:
-    """D_R(tau) and its absolute error estimate by adaptive quadrature of
-    the defining integral."""
-    return _kernel_quad(params, tau, "dr")
-
-
-def kernel_di_numeric(params: SystemParams, tau: float) -> tuple[float, float]:
-    """D_I(tau) and its absolute error estimate by adaptive quadrature of
-    the defining integral."""
-    return _kernel_quad(params, tau, "di")
+    return val, err

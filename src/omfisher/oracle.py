@@ -1,4 +1,5 @@
-"""Brute-force validators: truncated-Fock QFI and numeric classical FI.
+"""Brute-force validators: truncated-Fock QFI, numeric classical FI and the
+Richardson coupling derivative.
 
 These never share code with the closed-form Fisher routes.  The Fock oracle
 holds a zero-mean Gaussian state in the number basis, truncated to photon
@@ -21,6 +22,13 @@ matrix of the whole truncated space.
 
 The numeric CFI integrates (d_g ln P)^2 P over the outcome axis with
 central-difference log-derivatives.
+
+The Richardson derivative differences a matrix-valued family of g by
+central differences with one extrapolation level.  On the intracavity
+optical block (``richardson_dsigma_opt``) it re-solves the cavity state at
+four couplings and shares none of the implicit route's algebra: the
+implicit steady-state derivative, the divided differences of the kernel's
+Laplace transform and the derivative Lyapunov solve.
 """
 
 from __future__ import annotations
@@ -32,7 +40,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError, UnphysicalStateError
+from .errors import (AmbiguousBranchError, ConvergenceError, DerivativeUndefinedError,
+                     DomainError, NumericalError, UnphysicalStateError)
+from .fisher import FD_STEP_FLOOR, FD_STEP_REL
+from .params import SystemParams
+from .pipeline import PipelineSettings, cavity_covariance
 
 __all__ = [
     "FockState",
@@ -40,6 +52,10 @@ __all__ = [
     "qfi_fock",
     "qfi_fock_converged",
     "cfi_numeric",
+    "fd_step",
+    "dsigma_dg",
+    "sigma_opt_at",
+    "richardson_dsigma_opt",
 ]
 
 _SLD_EPS = 1e-12
@@ -73,12 +89,13 @@ class FockState:
         return phase[:, None] * rho * phase.conj()
 
 
-def default_n_max(nu_bar: float) -> int:
-    """Truncation heuristic: 80 up to nu_bar = 3, then 40 nu_bar."""
-    return 80 if nu_bar <= 3.0 else int(math.ceil(40.0 * nu_bar))
+def default_n_max(nu: float) -> int:
+    """Truncation heuristic for a state of symplectic eigenvalue
+    nu = sqrt(det sigma): 80 up to nu = 3, then 40 nu."""
+    return 80 if nu <= 3.0 else int(math.ceil(40.0 * nu))
 
 
-def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
+def gaussian_to_fock(sigma: np.ndarray, n_max: int) -> FockState:
     """Zero-mean Gaussian state with covariance ``sigma`` in the Fock basis.
 
     Decomposes sigma = S (nu I) S^T with S a rotation times a squeeze and
@@ -92,8 +109,6 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
     if det < 0.25 * (1.0 - 1e-12):
         raise UnphysicalStateError(f"det(sigma) = {det} < 1/4")
     nu = math.sqrt(det)
-    if n_max is None:
-        n_max = default_n_max(nu)
 
     # sigma / nu = R diag(e^2r, e^-2r) R^T
     p = sigma / nu
@@ -127,7 +142,7 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int | None = None) -> FockState:
 def _k0_spectrum(parity: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (Lambda, Q) of B = D^-1 K0 D / (-i) on one parity block,
     computed on first use and shared by every state with that block."""
-    from scipy.linalg import eigh_tridiagonal  # see kernels._kernel_quad
+    from scipy.linalg import eigh_tridiagonal  # see kernels.kernel_dr_numeric
 
     n = parity + 2.0 * np.arange(size)
     b = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
@@ -300,3 +315,43 @@ def _simpson_grid(half_width: float, n: int):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return k, w * (step / 3.0)
+
+
+def fd_step(g: float) -> float:
+    """Default step of ``dsigma_dg`` at coupling g: max(FD_STEP_REL |g|,
+    FD_STEP_FLOOR)."""
+    return max(FD_STEP_REL * abs(g), FD_STEP_FLOOR)
+
+
+def dsigma_dg(pipeline: Callable[[float], np.ndarray], g: float,
+              h: float | None = None) -> np.ndarray:
+    """Derivative of a matrix-valued pipeline with respect to the coupling.
+
+    ``pipeline`` maps g (frequency-convention coupling, rad/s) to a
+    covariance matrix with every other parameter frozen.  Central
+    differences with one Richardson level, step ``h`` or ``fd_step(g)``.
+    """
+    h0 = fd_step(g) if h is None else h
+    try:
+        coarse = (pipeline(g + h0) - pipeline(g - h0)) / (2.0 * h0)
+        fine = (pipeline(g + 0.5 * h0) - pipeline(g - 0.5 * h0)) / h0
+    except AmbiguousBranchError as exc:
+        raise DerivativeUndefinedError(
+            f"derivative undefined near a bistability branch boundary at g={g}") from exc
+    return (4.0 * fine - coarse) / 3.0
+
+
+def sigma_opt_at(params: SystemParams, settings: PipelineSettings, g: float) -> np.ndarray:
+    """Intracavity optical block at coupling g, all other parameters frozen."""
+    # sigma_opt is even in g: g -> -g conjugates the mechanical
+    # quadratures only, leaving the optical block invariant
+    cav = cavity_covariance(params.with_(g_freq=abs(g)), settings)
+    return cav.covariance.optical_block
+
+
+def richardson_dsigma_opt(params: SystemParams,
+                          settings: PipelineSettings = PipelineSettings()) -> np.ndarray:
+    """d(sigma_opt)/dg at the configured coupling by ``dsigma_dg`` over
+    ``sigma_opt_at``: four cavity solves, the cross-check of
+    ``pipeline.cavity_dsigma_opt``."""
+    return dsigma_dg(lambda g: sigma_opt_at(params, settings, g), params.g_freq)

@@ -4,9 +4,11 @@
 The coupling derivative of the output covariance is taken with respect to
 the frequency-convention coupling g (rad/s).  Because the output filter is
 a fixed linear map of the optical block, differentiation is performed on
-the intracavity optical block and pushed through the same map G that gives
-sigma_out; the map is g-independent so this is equivalent to differencing
-the full pipeline.
+the intracavity optical block, by the derivative Lyapunov equation, and
+pushed through the same map G that gives sigma_out; the map is
+g-independent, so this is the derivative of the full pipeline.  The
+Richardson differences that cross-check it are an oracle
+(``oracle.richardson_dsigma_opt``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import fisher as _fisher
 from .dynamics import (CovarianceMatrix4, DiffusionMatrix, DriftMatrix,
                        brownian_laplace, diffusion_matrix, drift_matrix,
                        lyapunov_solve, stationary_covariance, _E1)
@@ -44,13 +45,17 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Convention switches of the pipeline (``config.SWITCHES``), and the
-    coupling-derivative route, which only code sets: validate's Richardson
-    cross-check and perfbench/checks.py."""
+    """Convention switches of the pipeline (``config.SWITCHES``).
+
+    ``derivative_method`` names the one coupling-derivative route and
+    accepts no other value: ``cavity_dsigma_opt`` raises DomainError for
+    any other."""
 
     epsilon_uses_total_kappa: bool = False
     kappa_meas_mode: str = "kappa_total"  # or "kappa_in"
     branch: str | None = None
+    # not a setting: perfbench/checks.py:184, 206 and 211 read and replace
+    # it; the follow-up of ROADMAP item 1 deletes it
     derivative_method: str = "derivative-lyapunov"
     # not a setting: the constant perfbench/checks.py:233 passes to
     # output_state; the follow-up of ROADMAP item 1 deletes both
@@ -105,29 +110,17 @@ def output_state(sigma_opt: np.ndarray, spec: MeasurementSpec,
     return SimpleNamespace(matrix=output_covariance(sigma_opt, spec))
 
 
-def _sigma_opt(params: SystemParams, settings: PipelineSettings, g: float) -> np.ndarray:
-    """Intracavity optical block at coupling g, all other parameters frozen."""
-    # sigma_opt is even in g: g -> -g conjugates the mechanical
-    # quadratures only, leaving the optical block invariant
-    cav = cavity_covariance(params.with_(g_freq=abs(g)), settings)
-    return cav.covariance.optical_block
-
-
 def cavity_dsigma_opt(params: SystemParams,
                       settings: PipelineSettings = PipelineSettings(),
                       cavity: CavityState | None = None) -> np.ndarray:
-    """d(sigma_opt)/dg at the configured coupling: the derivative Lyapunov
-    equation for "derivative-lyapunov" (the default), Richardson central
-    differences (``fisher.dsigma_dg``, the cross-check) otherwise.
-    ``cavity``, the state at ``params`` when the caller already has it,
-    spares the implicit route a re-solve; the differences always solve
-    their own points."""
-    if settings.derivative_method == "derivative-lyapunov":
-        return _cavity_derivative_lyapunov(
-            params, settings, cavity or cavity_covariance(params, settings))
-    if settings.derivative_method != "finite-difference":
-        raise DomainError(f"unknown derivative method {settings.derivative_method!r}")
-    return _fisher.dsigma_dg(lambda g: _sigma_opt(params, settings, g), params.g_freq)
+    """d(sigma_opt)/dg at the configured coupling, from the derivative
+    Lyapunov equation (``_cavity_derivative_lyapunov``).  ``cavity``, the
+    state at ``params`` when the caller already has it, spares a re-solve."""
+    if settings.derivative_method != "derivative-lyapunov":
+        raise DomainError(f"unknown derivative method {settings.derivative_method!r}; "
+                          "the one route is 'derivative-lyapunov'")
+    return _cavity_derivative_lyapunov(
+        params, settings, cavity or cavity_covariance(params, settings))
 
 
 def _steady_derivatives(params: SystemParams, ss: SteadyState):

@@ -20,7 +20,7 @@ from .dynamics import drift_matrix
 from .errors import (AmbiguousBranchError, ConfigError, OmfisherError,
                      UnstableDriftError)
 from .fisher import FisherReport
-from .params import bistability_window, steady_state
+from .params import steady_state
 from .pipeline import (build_measurement, cavity_covariance, cavity_dsigma_opt,
                        fisher_report)
 
@@ -65,16 +65,18 @@ def run_sweep(cfg: RunConfig):
     settings = cfg.settings()
 
     base_params, base_meas = cfg.materialize()
-    window = bistability_window(
-        base_params, epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
-    if not window.monostable_for_all_power and \
-            window.p_minus <= base_params.power <= window.p_plus:
+    try:
+        base_ss = steady_state(base_params, branch=settings.branch,
+                               epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
+    except AmbiguousBranchError as exc:
         raise ConfigError(
-            "baseline power sits in the bistable window "
-            f"({window.p_minus:.3e}, {window.p_plus:.3e}) W; consult "
-            "bistability_window and move the operating point")
-    base_ss = steady_state(base_params, branch=settings.branch,
-                           epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
+            f"baseline power {base_params.power:.6e} W lies in the bistable window "
+            f"(stable branches |alpha|^2 = {exc.lower_branch:.6e} and "
+            f"{exc.upper_branch:.6e}); set [switches] branch = lower or upper") from exc
+    if base_ss.branch_count == 2 and settings.branch is None:
+        raise ConfigError("baseline power sits on a boundary of the bistable window "
+                          "(double root); set [switches] branch = lower or upper, "
+                          "or move the operating point")
     if not drift_matrix(base_params, base_ss).stable:
         raise ConfigError("baseline parameter point is dynamically unstable")
 

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from omfisher.config import (PRESETS, SWITCHES, RunConfig, SweepSpec, apply_pres
                              load_config)
 from omfisher.constants import TWO_PI
 from omfisher.errors import ConfigError, OmfisherError
-from omfisher.params import rossi_params
+from omfisher.params import bistability_window, rossi_params, steady_state
 from omfisher.pipeline import PipelineSettings
 from omfisher.sweep import ROW_FIELDS, render_csv, run_sweep
 from omfisher.validate import validate
@@ -300,6 +300,46 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(cfg)
 
+    @staticmethod
+    def _bistable_baseline(branch):
+        """An eta sweep at delta0 = 2 kappa and P = sqrt(p- p+), inside the
+        bistable window, with ``[switches] branch`` set to ``branch``."""
+        cfg = load_config(None)
+        cfg = RunConfig(**{**cfg.__dict__, "delta0_in_kappa": 2.0,
+                           "sweep": SweepSpec("eta", "linear", 0.5, 1.0, 3)})
+        win = bistability_window(cfg.materialize()[0])
+        return replace(cfg, power=math.sqrt(win.p_minus * win.p_plus),
+                       pipeline=PipelineSettings(branch=branch))
+
+    def test_bistable_baseline_on_the_lower_branch(self):
+        """The branch switch works at a sweep baseline inside the window."""
+        cfg = self._bistable_baseline("lower")
+        assert steady_state(cfg.materialize()[0], branch="lower").branch_count == 3
+        metadata, rows = run_sweep(cfg)
+        assert metadata["switches"]["branch"] == "lower"
+        assert len(rows) == 3 and all(row.stable and row.qfi > 0.0 for row in rows)
+
+    def test_bistable_baseline_on_the_upper_branch_is_unstable(self):
+        with pytest.raises(ConfigError, match="dynamically unstable"):
+            run_sweep(self._bistable_baseline("upper"))
+
+    def test_bistable_baseline_without_branch_names_the_switch(self):
+        with pytest.raises(ConfigError, match=r"\[switches\] branch"):
+            run_sweep(self._bistable_baseline(None))
+
+    def test_double_root_baseline_needs_a_branch(self, monkeypatch):
+        """A baseline on a window edge (a double root, branch_count 2), which
+        steady_state puts on the lower branch, runs only with a branch set."""
+        import omfisher.sweep as sweep_module
+        real = sweep_module.steady_state
+        monkeypatch.setattr(sweep_module, "steady_state",
+                            lambda *a, **kw: replace(real(*a, **kw), branch_count=2))
+        cfg = RunConfig(**{**load_config(None).__dict__,
+                           "sweep": SweepSpec("eta", "linear", 0.5, 1.0, 3)})
+        with pytest.raises(ConfigError, match="double root"):
+            run_sweep(cfg)
+        assert len(run_sweep(replace(cfg, pipeline=PipelineSettings(branch="lower")))[1]) == 3
+
 
 class TestCli:
     def test_sweep_byte_identical(self, config_file, tmp_path):
@@ -487,24 +527,30 @@ def test_production_path_does_not_import_scipy_integrate(tmp_path):
     quadratures, the transient oracle's expm and the Fock oracle), so no
     scipy module is loaded by importing the package, the CLI and validate,
     nor by running one report, an omega_k sweep at eta = 1, an eta sweep
-    below 1 or ``omfisher sweep``, each in a fresh process."""
-    head = ("import sys, omfisher, omfisher.cli, omfisher.validate\n"
+    below 1 or ``omfisher sweep``, each in a fresh process.  The oracles
+    themselves (omfisher.oracle, and omfisher.validate, which runs them)
+    are not loaded by the package, a report or a sweep either."""
+    head = ("import json, sys, omfisher\n"
             "from omfisher.config import apply_preset, load_config\n"
             "from omfisher.params import rossi_params\n"
             "from omfisher.pipeline import build_measurement, fisher_report\n"
             "from omfisher.sweep import run_sweep\n")
     cases = {
-        "imports": "",
+        "package": "",
+        "imports": "import omfisher.cli, omfisher.validate\n",
         "fisher_report": "p = rossi_params()\n"
                          "fisher_report(p, build_measurement(p), auto_theta=True)\n",
         "omega_k sweep": "run_sweep(apply_preset(load_config(None), 'fig1'))\n",
         "eta sweep": "cfg = apply_preset(load_config(None), 'fig2')\n"
                      "assert cfg.sweep.variable == 'eta' and min(cfg.sweep.grid()) < 1\n"
                      "run_sweep(cfg)\n",
-        "omfisher sweep": "assert omfisher.cli.main(['sweep', '--preset', 'fig4a', "
+        "omfisher sweep": "import omfisher.cli\n"
+                          "assert omfisher.cli.main(['sweep', '--preset', 'fig4a', "
                           f"'--out', {str(tmp_path / 'fig4a.csv')!r}]) == 0\n",
     }
-    tail = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    tail = ("print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "                  [m for m in ('omfisher.oracle', 'omfisher.validate')\n"
+            "                   if m in sys.modules]]))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     procs = {name: subprocess.Popen([sys.executable, "-c", head + body + tail],
                                     stdout=subprocess.PIPE, text=True,
@@ -513,4 +559,7 @@ def test_production_path_does_not_import_scipy_integrate(tmp_path):
     for name, proc in procs.items():
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0, name
-        assert out.strip().splitlines()[-1] == "[]", (name, out)
+        scipy_modules, oracles = json.loads(out.strip().splitlines()[-1])
+        assert scipy_modules == [], (name, out)
+        if name not in ("imports", "omfisher sweep"):  # the CLI imports validate
+            assert oracles == [], (name, out)

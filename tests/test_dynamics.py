@@ -305,9 +305,10 @@ class TestContinuity:
 
 class TestDerivativeConsistency:
     def test_fd_vs_derivative_lyapunov(self):
+        from omfisher.oracle import richardson_dsigma_opt
         from omfisher.pipeline import PipelineSettings, cavity_dsigma_opt
         p = rossi_params()
-        d_fd = cavity_dsigma_opt(p, PipelineSettings(derivative_method="finite-difference"))
+        d_fd = richardson_dsigma_opt(p)
         d_dl = cavity_dsigma_opt(p, PipelineSettings(derivative_method="derivative-lyapunov"))
         assert np.linalg.norm(d_fd - d_dl) / np.linalg.norm(d_fd) < 1e-5
 
@@ -352,14 +353,18 @@ class TestOneSpectrum:
     @pytest.mark.parametrize("method, solves", [(None, 1), ("derivative-lyapunov", 1),
                                                 ("finite-difference", 5)])
     def test_fisher_report(self, monkeypatch, method, solves):
-        """The default is the implicit route: one of each per report."""
+        """The implicit route: one of each per report.  The Richardson
+        oracle handed to the report as its derivative adds four solves."""
+        from omfisher.oracle import richardson_dsigma_opt
         from omfisher.pipeline import PipelineSettings, build_measurement, fisher_report
         p = rossi_params()
-        settings = PipelineSettings() if method is None else \
+        settings = PipelineSettings() if method in (None, "finite-difference") else \
             PipelineSettings(derivative_method=method)
         spec = build_measurement(p, settings=settings)
         calls = self._count(monkeypatch)
-        fisher_report(p, spec, settings, auto_theta=True)
+        dsigma_opt = richardson_dsigma_opt(p, settings) \
+            if method == "finite-difference" else None
+        fisher_report(p, spec, settings, auto_theta=True, dsigma_opt=dsigma_opt)
         assert calls == {"eig": solves, "eigvals": 0, "brownian_laplace": solves,
                          "operator": solves}
 

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from omfisher.errors import (DerivativeUndefinedError, DomainError,
                              UnphysicalStateError)
-from omfisher.fisher import (_sigma_inv, cfi_bhd, dsigma_dg,
-                             qfi_gaussian, theta_max)
-from omfisher.oracle import qfi_fock_converged
+from omfisher.fisher import _sigma_inv, cfi_bhd, qfi_gaussian, theta_max
+from omfisher.oracle import dsigma_dg, qfi_fock_converged
 from omfisher.params import rossi_params
 from omfisher.pipeline import PipelineSettings, cavity_dsigma_opt
 
@@ -315,6 +314,9 @@ class TestThetaMax:
 
 
 class TestDsigmaDg:
+    """The Richardson oracle, oracle.dsigma_dg, and the one route left to
+    pipeline.cavity_dsigma_opt."""
+
     def test_constant_pipeline(self):
         d = dsigma_dg(lambda g: np.eye(2), 1.0)
         assert np.array_equal(d, np.zeros((2, 2)))
@@ -339,6 +341,8 @@ class TestDsigmaDg:
             dsigma_dg(pipeline, 1.0)
 
     def test_unknown_method(self):
-        settings = PipelineSettings(derivative_method="spectral")
-        with pytest.raises(DomainError, match="unknown derivative method 'spectral'"):
-            cavity_dsigma_opt(rossi_params(), settings)
+        """The Richardson differences are an oracle, not a method."""
+        for method in ("spectral", "finite-difference"):
+            settings = PipelineSettings(derivative_method=method)
+            with pytest.raises(DomainError, match=f"unknown derivative method '{method}'"):
+                cavity_dsigma_opt(rossi_params(), settings)

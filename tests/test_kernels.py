@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omfisher.errors import DomainError
-from omfisher.kernels import (kernel_closed, kernel_di_numeric, kernel_dr_numeric,
-                              trigamma)
+from omfisher.kernels import kernel_closed, kernel_dr_numeric, trigamma
 from omfisher.params import rossi_params
 
 
@@ -64,32 +63,25 @@ class TestTrigamma:
 
 
 class TestKernels:
-    def test_di_zero_lag(self, bath):
-        assert kernel_closed(bath, 0.0)[1] == 0.0
-
     def test_dr_parity(self, bath):
         tau = 0.3 / bath.cutoff
-        assert kernel_closed(bath, tau)[0] == kernel_closed(bath, -tau)[0]
+        assert kernel_closed(bath, tau) == kernel_closed(bath, -tau)
 
     @given(st.floats(min_value=0.005, max_value=50.0))
     @settings(max_examples=25, deadline=None)
     def test_parity_grid(self, x):
         bath = rossi_params()
         tau = x / bath.cutoff
-        assert kernel_closed(bath, tau)[0] == pytest.approx(
-            kernel_closed(bath, -tau)[0], rel=1e-14)
-        assert kernel_closed(bath, tau)[1] == pytest.approx(
-            -kernel_closed(bath, -tau)[1], rel=1e-14)
+        assert kernel_closed(bath, tau) == pytest.approx(
+            kernel_closed(bath, -tau), rel=1e-14)
 
     def test_closed_vs_quadrature_both_roles(self, bath):
         """Closed form and quadrature agree with either as reference."""
         tau = 1.0 / bath.cutoff
-        dr_c, di_c = kernel_closed(bath, tau)
+        dr_c = kernel_closed(bath, tau)
         dr_n, dr_err = kernel_dr_numeric(bath, tau)
         assert dr_c == pytest.approx(dr_n, rel=1e-6)
         assert math.isfinite(dr_err) and dr_err > 0.0
-        di_n, _ = kernel_di_numeric(bath, tau)
-        assert di_c == pytest.approx(di_n, rel=1e-6)
 
     @pytest.mark.parametrize("temperature", [0.0, 11.0])
     def test_array_equals_scalar_calls(self, temperature):
@@ -97,11 +89,11 @@ class TestKernels:
         Python floats at one lag."""
         bath = rossi_params(temperature=temperature)
         taus = np.linspace(-3.0, 40.0, 37) / bath.cutoff
-        d_r, d_i = kernel_closed(bath, taus)
+        d_r = kernel_closed(bath, taus)
         for j, tau in enumerate(taus):
-            pair = kernel_closed(bath, float(tau))
-            assert all(type(v) is float for v in pair)
-            assert pair == (d_r[j], d_i[j])
+            value = kernel_closed(bath, float(tau))
+            assert type(value) is float
+            assert value == d_r[j]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_lag_rejected(self, bath, bad):
@@ -110,33 +102,28 @@ class TestKernels:
             with pytest.raises(DomainError):
                 kernel_closed(bath, tau)
 
-    def test_numeric_negative_tau_parity(self, bath):
-        tau = 0.7 / bath.cutoff
-        assert kernel_di_numeric(bath, -tau)[0] == pytest.approx(
-            -kernel_di_numeric(bath, tau)[0], rel=1e-10)
-
     def test_high_temperature_linearity(self):
         for temp in (100.0, 200.0):
             b1 = rossi_params(temperature=temp)
             b2 = rossi_params(temperature=2 * temp)
-            ratio = kernel_closed(b2, 0.0)[0] / kernel_closed(b1, 0.0)[0]
+            ratio = kernel_closed(b2, 0.0) / kernel_closed(b1, 0.0)
             assert ratio == pytest.approx(2.0, rel=0.01)
 
     def test_zero_temperature_limit_continuity(self):
         """Thermal term vanishes as (kB T / hbar)^2; probe far below it."""
         b0 = rossi_params(temperature=0.0)
         b1 = rossi_params(temperature=1e-9)
-        scale = abs(kernel_closed(b0, 0.0)[0])
+        scale = abs(kernel_closed(b0, 0.0))
         for x in (0.0, 0.4, 3.0):
             tau = x / b0.cutoff
-            assert abs(kernel_closed(b0, tau)[0] - kernel_closed(b1, tau)[0]) \
+            assert abs(kernel_closed(b0, tau) - kernel_closed(b1, tau)) \
                 <= 1e-8 * scale
 
     def test_zero_temperature_against_quadrature(self):
         b0 = rossi_params(temperature=0.0)
-        scale = abs(kernel_closed(b0, 0.0)[0])
+        scale = abs(kernel_closed(b0, 0.0))
         for x in (0.3, 2.0):
             tau = x / b0.cutoff
-            c = kernel_closed(b0, tau)[0]
+            c = kernel_closed(b0, tau)
             n = kernel_dr_numeric(b0, tau)[0]
             assert abs(c - n) <= 1e-6 * scale

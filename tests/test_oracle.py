@@ -122,7 +122,7 @@ class TestGaussianToFock:
 
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalStateError):
-            gaussian_to_fock(0.2 * np.eye(2))
+            gaussian_to_fock(0.2 * np.eye(2), 40)
 
     def test_truncation_heuristic(self):
         assert default_n_max(1.0) == 80
