@@ -10,6 +10,10 @@ timed with time.perf_counter in this one process:
   calls (default 200) after one warm-up call; whatever a stage consumes is
   built outside its timed region, on a fresh drift matrix each call so that
   no decomposition cached on it is reused;
+- oracle stages, max(1, N // 40) calls each after one warm-up call:
+  gaussian_to_fock and qfi_fock at n_max = 1000 on validate's
+  squeezed-thermal family (nu = 25, r = 0.15), and the frequency-domain
+  Brownian diffusion at the baseline point;
 - end-to-end cases: the fig1, fig2, fig4a and fig5 preset sweeps and one
   full validate(), each max(1, N // 40) times;
 - the import case: max(1, N // 40) fresh processes, each importing
@@ -65,10 +69,19 @@ def _time(body, setup, n: int) -> list:
     return samples
 
 
+def _squeezed_thermal(g: float) -> np.ndarray:
+    """validate's squeezed-thermal family at nu = 25: squeeze strength and
+    angle vary with g."""
+    r, phi = 0.15 + 0.4 * g, 0.3 + 0.5 * g
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    return rot @ np.diag([25.0 * np.exp(2 * r), 25.0 * np.exp(-2 * r)]) @ rot.T
+
+
 def _stages(n: int) -> dict:
-    from omfisher.dynamics import diffusion_matrix, drift_matrix, stationary_covariance
+    from omfisher.dynamics import (brownian_diffusion_freq, diffusion_matrix,
+                                   drift_matrix, stationary_covariance)
     from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
-    from omfisher.oracle import richardson_dsigma_opt
+    from omfisher.oracle import gaussian_to_fock, qfi_fock, richardson_dsigma_opt
     from omfisher.output import output_covariance, output_map
     from omfisher.params import rossi_params, steady_state
     from omfisher.pipeline import (PipelineSettings, build_measurement,
@@ -117,8 +130,19 @@ def _stages(n: int) -> dict:
         "fisher_report at T = 1e-5 K":
             (lambda _: fisher_report(cold, cold_spec, default, auto_theta=True), None),
     }
-    return {name: _summary(_time(body, setup or (lambda: None), n), 1e3)
-            for name, (body, setup) in cases.items()}
+    h = 1e-4
+    trio = [gaussian_to_fock(_squeezed_thermal(g), 1000) for g in (-h, 0.0, h)]
+    oracle_cases = {
+        "gaussian_to_fock, nu = 25, n_max = 1000":
+            (lambda _: gaussian_to_fock(_squeezed_thermal(0.0), 1000), None),
+        "qfi_fock, squeezed-thermal trio, n_max = 1000":
+            (lambda _: qfi_fock(*trio, h), None),
+        "brownian_diffusion_freq": (lambda a: brownian_diffusion_freq(p, a),
+                                    decomposed_drift),
+    }
+    return {name: _summary(_time(body, setup or (lambda: None), reps), 1e3)
+            for group, reps in ((cases, n), (oracle_cases, max(1, n // 40)))
+            for name, (body, setup) in group.items()}
 
 
 def _end_to_end(n: int) -> dict:

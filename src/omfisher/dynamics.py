@@ -410,21 +410,27 @@ def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix):
     """Frequency-domain evaluation of the Brownian block (oracle and
     ill-conditioned-eigenbasis path).  Uses int_0^inf cos(w tau) exp(A tau)
     dtau = -Re (A + i w)^(-1) to turn the tau integral into a smooth
-    spectral integral with a narrow feature at the mechanical resonance.
+    spectral integral with a narrow feature at the mechanical resonance,
+    solved at each node by LAPACK zgesv on a copy of the complex drift.
     Returns the block e1 u^T + u e1^T and quad_vec's error estimate of u
     at relative tolerance 1e-10.
     """
     from scipy.integrate import quad_vec  # see kernels.kernel_dr_numeric
+    from scipy.linalg.lapack import zgesv
 
     m, wm, gam, T, W = (params.mass, params.omega_m, params.gamma,
                         params.temperature, params.cutoff)
     pref = 2.0 * m * gam / math.pi
-    a_s = a.matrix_scaled
-    eye = np.eye(4)
+    a_c = np.asfortranarray(a.matrix_scaled, dtype=complex)
+    e1 = _E1.astype(complex)
 
     def integrand(w):
         f = pref * _w_coth(w, T) * math.exp(-w / W) * (2.0 / (m * wm))
-        r = np.linalg.solve(a_s + 1j * w * eye, _E1.astype(complex))
+        shifted = a_c.copy(order="F")
+        shifted.flat[::5] += 1j * w  # the diagonal of the 4x4
+        _, _, r, info = zgesv(shifted, e1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgesv info {info} at w = {w}")
         return -f * r.real
 
     upper = 60.0 * W

@@ -9,14 +9,14 @@ numbers 0..n_max, as the factors of its eigendecomposition
 
 with p the thermal weights.  Both operators preserve photon-number parity,
 so the truncated exp(r K0) is a real orthogonal block on the even and one on
-the odd photon numbers, each from the eigenvectors of the tridiagonal
-r-free generator of that block.  The QFI is the SLD sum at the state rho(g),
+the odd photon numbers, each from three products on the eigenvectors of
+the r-free generator of that block.  The QFI is the SLD sum at rho(g),
 
     H = sum_{i,j: p_i + p_j > eps} 2 |<i| drho |j>|^2 / (p_i + p_j),
 
 taken in the eigenbasis U(g) that the construction gives, with drho the
 central difference of rho(g +- h) moved into that basis block by block by
-real matrix products (drho has no elements between the parities).  No
+real matrix products, three per complex one (drho is parity-blocked).  No
 eigensolver runs on a density matrix, and the SLD path forms no dense
 matrix of the whole truncated space.
 
@@ -139,17 +139,19 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int) -> FockState:
 
 
 @lru_cache(maxsize=16)
-def _k0_spectrum(parity: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (Lambda, Q) of B = D^-1 K0 D / (-i) on one parity block,
+def _k0_spectrum(parity: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues Lambda of B = D^-1 K0 D / (-i) on one parity block and its
+    eigenvectors Q as _squeeze_block takes them (signed, split rows),
     computed on first use and shared by every state with that block."""
     from scipy.linalg import eigh_tridiagonal  # see kernels.kernel_dr_numeric
 
     n = parity + 2.0 * np.arange(size)
     b = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
     lam, q = eigh_tridiagonal(np.zeros(size), b)
-    lam.flags.writeable = False
-    q.flags.writeable = False
-    return lam, q
+    q *= np.where(np.arange(size) // 2 % 2, -1.0, 1.0)[:, None]
+    q_e, q_o = q[0::2].copy(), q[1::2].copy()
+    lam.flags.writeable = q_e.flags.writeable = q_o.flags.writeable = False
+    return lam, q_e, q_o
 
 
 def _squeeze_block(parity: int, size: int, r: float) -> np.ndarray:
@@ -158,19 +160,22 @@ def _squeeze_block(parity: int, size: int, r: float) -> np.ndarray:
     There K0 is real, skew-symmetric and tridiagonal with off-diagonals
     b_m = sqrt((n+1)(n+2))/2, and D = diag(i^m) turns it into -i B with B
     real symmetric, so exp(r K0) = Re[(D Q) e^{-i r Lambda} (D Q)^H] from
-    B = Q Lambda Q^T.  B does not depend on r, so the states at g - h, g and
-    g + h share one decomposition (_k0_spectrum) and its round-off.
+    B = Q Lambda Q^T: element (j, l) is +C, +S, -C, -S for (j - l) mod 4 =
+    0..3, with C = Q cos(r Lambda) Q^T and S = Q sin(r Lambda) Q^T.  With
+    Q's row j signed by (-1)^floor(j/2) and split by the parity of j, three
+    half-height products form only those entries.  B is r-free, so the
+    states at g - h, g and g + h share one decomposition and its round-off.
     """
     if size < 2 or r == 0.0:
         return np.eye(size)
-    lam, q = _k0_spectrum(parity, size)
-    # element (j, l) is Re[i^(j-l) (C - i S)_jl] with C = Q cos(r Lambda) Q^T
-    # and S = Q sin(r Lambda) Q^T: +C, +S, -C, -S for (j - l) mod 4 = 0..3.
-    # C is formed as I - Q (1 - cos) Q^T, so round-off shrinks with r.
-    c = np.eye(size) - (q * (2.0 * np.sin(0.5 * r * lam) ** 2)) @ q.T
-    s = (q * np.sin(r * lam)) @ q.T
-    d = np.subtract.outer(np.arange(size), np.arange(size)) % 4
-    return np.where(d % 2 == 0, c, s) * np.where(d < 2, 1.0, -1.0)
+    lam, q_e, q_o = _k0_spectrum(parity, size)
+    x = 2.0 * np.sin(0.5 * r * lam) ** 2  # 1 - cos: round-off shrinks with r
+    out = np.empty((size, size))
+    for start, q in ((0, q_e), (1, q_o)):
+        out[start::2, start::2] = np.eye(len(q)) - (q * x) @ q.T
+    e = (q_e * np.sin(r * lam)) @ q_o.T
+    out[0::2, 1::2], out[1::2, 0::2] = -e, e.T
+    return out
 
 
 def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> float:
@@ -182,8 +187,8 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
     S p^(1/2), so with T0 the mean and T' the central difference of the two
     T, U_c^H d rho U_c = T0 T'^H + T' T0^H exactly, and no difference of
     two nearly equal density matrices is taken.  T = A + iB is carried as
-    the real pair A, B.  Every block must be orthogonal, as the blocks
-    gaussian_to_fock builds are.
+    the real pair A, B, and T0 T'^H takes three real products.  Every block
+    must be orthogonal, as the blocks gaussian_to_fock builds are.
 
     Both blocks work in one buffer of seven block-sized slots, allocated
     once per call; the products and elementwise steps write into its slots,
@@ -208,11 +213,15 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
         a0, b0, a1, b1, re, im, tmp = work[:7 * m * m].reshape(7, m, m)
         _centre_roots(minus, plus, centre.phi, parity, h, s_c,
                       (a0, b0, a1, b1), (re, im, tmp))
-        # d rho = Y + Y^H with Y = T0 T'^H = A0 A'^T + B0 B'^T + i (B0 A'^T - A0 B'^T)
+        # d rho = Y + Y^H with Y = T0 T'^H = A0 A'^T + B0 B'^T + i (B0 A'^T - A0 B'^T),
+        # in three products: Im Y = (A0 + B0)(A' - B')^T - A0 A'^T + B0 B'^T
         np.matmul(a0, a1.T, out=re)
-        re += np.matmul(b0, b1.T, out=tmp)
-        np.matmul(b0, a1.T, out=im)
-        im -= np.matmul(a0, b1.T, out=tmp)
+        np.matmul(b0, b1.T, out=tmp)
+        np.subtract(tmp, re, out=im)
+        re += tmp
+        a0 += b0
+        a1 -= b1
+        im += np.matmul(a0, a1.T, out=tmp)
         # |<i| d rho |j>|^2 into slot a0
         np.add(re, re.T, out=a0)
         np.subtract(im, im.T, out=b0)

@@ -54,6 +54,10 @@ def test_runs_merge_into_one_file(bench, tmp_path):
                       "fisher_report (auto theta, default settings)",
                       "fisher_report at T = 1e-5 K"):
             _check_timing(run["stages_ms"][stage], n)
+        for stage in ("gaussian_to_fock, nu = 25, n_max = 1000",
+                      "qfi_fock, squeezed-thermal trio, n_max = 1000",
+                      "brownian_diffusion_freq"):
+            _check_timing(run["stages_ms"][stage], 1)
         assert set(run["end_to_end_s"]) == {"fig4a"}
         _check_timing(run["end_to_end_s"]["fig4a"], 1)
         assert set(run["import"]) == {"cpu_s", "peak_rss_mb"}

@@ -147,6 +147,17 @@ class TestDiffusionMatrix:
         assert d.error_estimate == 2.0 * err / np.linalg.norm(d.matrix_scaled)
         assert np.array_equal(d.matrix_scaled[:2, :2], brown_f[:2, :2])
 
+    def test_singular_frequency_node_raises(self, rossi_point, monkeypatch):
+        """A node whose shifted drift LAPACK reports singular (info > 0)
+        raises LinAlgError rather than integrate zgesv's unfinished
+        solution."""
+        import scipy.linalg.lapack as lapack
+        p, _, a, _ = rossi_point
+        monkeypatch.setattr(lapack, "zgesv",
+                            lambda m, b, overwrite_a=0: (m, None, b.copy(), 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            brownian_diffusion_freq(p, a)
+
     def test_laplace_derivative_matches_differences(self):
         """dL/dlambda (f' = -g, g' = f - 1/z) against a 4-point difference
         of L; 1e-4 K puts the optical eigenvalues on the cot branch of the

@@ -8,8 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from omfisher.errors import DomainError, NumericalError, UnphysicalStateError
-from omfisher.oracle import (FockState, cfi_numeric, default_n_max,
-                             gaussian_to_fock, qfi_fock, qfi_fock_converged)
+from omfisher.oracle import (FockState, _k0_spectrum, _squeeze_block, cfi_numeric,
+                             default_n_max, gaussian_to_fock, qfi_fock,
+                             qfi_fock_converged)
 
 
 def _ladder(n_max: int) -> np.ndarray:
@@ -150,6 +151,38 @@ class TestGaussianToFock:
                     assert err < 1e-13, (n_max, r, parity, err)
                 trace = float(np.sum(core.real.diagonal()))
                 assert st.trace_deficit == pytest.approx(abs(1.0 - trace), abs=1e-13)
+
+
+class TestSqueezeBlock:
+    @pytest.mark.parametrize("size", [60, 61, 200, 201])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matches_dense_expm(self, size, parity):
+        """exp(r K0) of the truncated parity block, K0 = (a^dag^2 - a^2)/2
+        on photon numbers parity, parity + 2, ..., from the three quarter
+        products equals scipy's expm of that block."""
+        n = parity + 2.0 * np.arange(size - 1)
+        k0 = np.diag(0.5 * np.sqrt((n + 1.0) * (n + 2.0)), -1)
+        k0 -= k0.T
+        for r in (-0.3, 0.15, 0.8, 2.0):
+            err = np.max(np.abs(_squeeze_block(parity, size, r) - expm(r * k0)))
+            assert err < 1e-12, (size, parity, r, err)
+
+    def test_forms_only_the_kept_entries(self):
+        """With the block's decomposition cached, one call allocates the
+        block and its half-height products only, below three block-sized
+        slots: no full-size product or index-pattern array is formed."""
+        import tracemalloc
+        size = 400
+        _k0_spectrum(0, size)
+        slot = 8 * size * size
+        tracemalloc.start()
+        try:
+            block = _squeeze_block(0, size, 0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (size, size)
+        assert peak < 3 * slot, peak / slot
 
 
 class TestQfiFock:
