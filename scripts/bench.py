@@ -9,7 +9,9 @@ timed with time.perf_counter in this one process:
 - stages at the baseline point (rossi_params): median and quartiles over N
   calls (default 200) after one warm-up call; whatever a stage consumes is
   built outside its timed region, on a fresh drift matrix each call so that
-  no decomposition cached on it is reused;
+  no decomposition cached on it is reused; fisher_report is also timed at
+  1e-5 K and 2.5e-4 K, the baseline point cooled until the Matsubara sum
+  and the continued fraction of e^w E1(w) take many arguments;
 - oracle stages, max(1, N // 40) calls each after one warm-up call:
   gaussian_to_fock and qfi_fock at n_max = 1000 on validate's
   squeezed-thermal family (nu = 25, r = 0.15), and the frequency-domain
@@ -90,6 +92,8 @@ def _stages(n: int) -> dict:
     p = rossi_params()
     cold = rossi_params(temperature=1e-5)  # 256 Matsubara terms, 174 at |z| <= 40
     cold_spec = build_measurement(cold)
+    cool = rossi_params(temperature=2.5e-4)  # 16 terms, 14 continued fractions
+    cool_spec = build_measurement(cool)
     default = PipelineSettings()
     ss = steady_state(p)
     d = diffusion_matrix(p, drift_matrix(p, ss))
@@ -129,6 +133,8 @@ def _stages(n: int) -> dict:
             (lambda _: fisher_report(p, spec, default, auto_theta=True), None),
         "fisher_report at T = 1e-5 K":
             (lambda _: fisher_report(cold, cold_spec, default, auto_theta=True), None),
+        "fisher_report at T = 2.5e-4 K":
+            (lambda _: fisher_report(cool, cool_spec, default, auto_theta=True), None),
     }
     h = 1e-4
     trio = [gaussian_to_fock(_squeezed_thermal(g), 1000) for g in (-h, 0.0, h)]

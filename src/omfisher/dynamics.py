@@ -18,7 +18,9 @@ part reduces to a rank-2 update e1 u^T + u e1^T with
 u = int k(tau) exp(A tau) e1 dtau = V (c o L(lambda)) in the drift
 eigenbasis, with the Laplace transform L of the kernel in closed form; an
 ill-conditioned eigenbasis falls back to the frequency-domain integral
-(also the oracle), and the transient oracle keeps a tau quadrature.
+(also the oracle), and the transient oracle keeps a tau quadrature.  L
+rests on e^w E1(w): a power series near the origin and the branch cut, the
+continued fraction of DLMF 6.9.1 elsewhere, one argument at a time.
 """
 
 from __future__ import annotations
@@ -67,8 +69,6 @@ _H_TAYLOR = np.array([abs(num) * 2 ** (2 * k - 1) / (den * math.factorial(2 * k)
 # argument outside its domain
 _CF_EPS = 2.0 ** -52
 _CF_NUMERATORS = tuple(-float(k * k) for k in range(1, 501))
-# up to this many arguments the fraction runs one argument at a time
-_CF_SCALAR_MAX = 8
 # 1/k for the power series of E1, enough terms for |w| <= 40
 _INV_K = 1.0 / np.arange(1.0, 160.0)
 # coefficients (-1)^m (2m)! and (-1)^m (2m+1)! of the series of f and g in 1/z^2
@@ -125,9 +125,9 @@ class DiffusionMatrix:
     error_estimate: float      # relative, scaled space
     path: str                  # "laplace" or "frequency"
     # L(lambda) and dL/dlambda of the Brownian kernel at the drift
-    # eigenvalues (brownian_laplace); None on the frequency path
-    laplace: np.ndarray | None = None
-    dlaplace: np.ndarray | None = None
+    # eigenvalues (brownian_laplace), on either path
+    laplace: np.ndarray
+    dlaplace: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -208,44 +208,11 @@ def _exp_e1_series(w, r_max: float):
     return np.exp(w) * (-np.euler_gamma - np.log(w) - terms @ inv_k)
 
 
-def _exp_e1_fraction(w):
-    """e^w E1(w) from the continued fraction of DLMF 6.9.1 in its even
-    form 1/(w+1 - 1^2/(w+3 - 2^2/(w+5 - ...))), by Lentz's method.
-
-    Step k multiplies the value by C_k D_k, with D_k = 1/(b_k + a_k D_(k-1))
-    and 1/C_k = 1/(b_k + a_k / C_(k-1)) (C_0 = inf): the same map, so for
-    many arguments both run as the two rows of one array.  An argument
-    stops once its step is within _CF_EPS of 1, so its value does not
-    depend on the other arguments.  A handful of arguments runs one by one
-    in scalar arithmetic: there each array step would cost more in call
-    overhead than the whole scalar fraction."""
-    if w.size <= _CF_SCALAR_MAX:
-        return np.array([_lentz(v) for v in w.tolist()], dtype=complex)
-    out = np.empty_like(w)
-    left = np.arange(w.size)
-    b = w + 1.0
-    u = np.stack([1.0 / b, np.zeros_like(w)])
-    h = u[0].copy()
-    for a in _CF_NUMERATORS:
-        b += 2.0
-        u *= a
-        u += b
-        np.reciprocal(u, out=u)
-        step = u[0] / u[1]
-        h *= step
-        done = np.abs(step - 1.0) < _CF_EPS
-        if done.any():
-            out[left[done]] = h[done]
-            keep = ~done
-            if not keep.any():
-                return out
-            left, b, u, h = left[keep], b[keep], u[:, keep], h[keep]
-    raise NumericalError("continued fraction of E1 did not converge",
-                         details={"arguments": w[left].tolist()})
-
-
 def _lentz(w: complex) -> complex:
-    """_exp_e1_fraction at one argument, in scalar arithmetic."""
+    """e^w E1(w) from the continued fraction of DLMF 6.9.1 in its even form
+    1/(w+1 - 1^2/(w+3 - 2^2/(w+5 - ...))), by Lentz's method: step k
+    multiplies the value by D_k / E_k, with D_k = 1/(b_k + a_k D_(k-1)) and
+    E_k = 1/(b_k + a_k E_(k-1)) (E_0 = 0)."""
     b = w + 1.0
     d, e = 1.0 / b, 0.0
     h = d
@@ -273,7 +240,7 @@ def _exp_e1(w):
     if series.any():
         out[series] = _exp_e1_series(w[series], float(np.max(r[series])))
     if not series.all():
-        out[~series] = _exp_e1_fraction(w[~series])
+        out[~series] = [_lentz(v) for v in w[~series].tolist()]
     return out
 
 
@@ -376,15 +343,16 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix) -> DiffusionMatrix:
     kappa/2 on the optical diagonal, reproducing the g = 0 optical vacuum.
     The error estimate is 2 |du| / ||D||, with du bounded by the truncation
     bound of brownian_laplace, or by quad_vec's estimate when cond(V) >= 1e10
-    hands u to the frequency-domain integral.
+    hands u to the frequency-domain integral.  L and L' at the drift
+    eigenvalues are evaluated on both paths and kept for the coupling
+    derivative.
     """
     if not a.stable:
         raise UnstableDriftError("diffusion matrix requires a Hurwitz drift matrix")
 
     lam, vec, c, cond = a.spectrum
-    lap = dlap = None
+    lap, dlap, bound = brownian_laplace(params, lam)
     if cond < 1e10:
-        lap, dlap, bound = brownian_laplace(params, lam)
         u = np.real(vec @ (c * lap))
         brown = np.outer(_E1, u) + np.outer(u, _E1)
         err_abs = float(np.max(np.abs(vec) @ (np.abs(c) * bound)))

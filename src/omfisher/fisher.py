@@ -43,8 +43,9 @@ __all__ = [
 # perfbench/checks.py:33 imports both from this module (ROADMAP item 1)
 FD_STEP_REL = 1e-6
 FD_STEP_FLOOR = 2.0 * math.pi * 1e-3  # rad/s, ~1 mHz in g/2pi terms
-# round-off margin on 4 det(sigma) - 1, shared with oracle.gaussian_to_fock:
-# below -margin the state is unphysical, within it the state is pure
+# round-off margin on 4 det(sigma) - 1: below -margin the state is unphysical,
+# within it pure; oracle.gaussian_to_fock keeps its own literal of the same
+# margin, to stay independent of the code it checks
 PURITY_MARGIN = 1e-12
 
 
@@ -69,13 +70,18 @@ class FisherReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sigma_inv(sigma: np.ndarray) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-    if det <= 0.0 or not np.isfinite(det):
-        raise DomainError("sigma must be positive definite")
-    return np.array([[sigma[1, 1], -sigma[0, 1]],
-                     [-sigma[1, 0], sigma[0, 0]]]) / det
+def _checked(sigma: np.ndarray, dsigma: np.ndarray):
+    """The entries of sigma and dsigma as nested lists, and det sigma; the
+    gate of qfi_gaussian and theta_max: DomainError unless sigma is finite and
+    positive definite (0 < det < inf, sigma_00 > 0) and dsigma is finite."""
+    s = np.asarray(sigma, dtype=float).tolist()
+    p = np.asarray(dsigma, dtype=float).tolist()
+    (s00, s01), (s10, s11) = s
+    det = s00 * s11 - s01 * s10
+    if not (0.0 < det < math.inf and s00 > 0.0
+            and all(map(math.isfinite, s[0] + s[1] + p[0] + p[1]))):
+        raise DomainError("sigma must be finite and positive definite, dsigma finite")
+    return s, p, det
 
 
 def qfi_gaussian(sigma: np.ndarray, dsigma: np.ndarray) -> float:
@@ -87,13 +93,10 @@ def qfi_gaussian(sigma: np.ndarray, dsigma: np.ndarray) -> float:
     and e = det s', Tr[(s^-1 s')^2] = (t^2 - 2 d e) / d^2.  At a pure
     point (4d - 1 within round-off) the mu' term is dropped; a physical
     family has mu' = 0 there.  Raises DomainError for a sigma that is not
-    positive definite and UnphysicalStateError for det s < 1/4.
+    finite and positive definite or a dsigma that is not finite, and
+    UnphysicalStateError for det s < 1/4.
     """
-    (s00, s01), (s10, s11) = np.asarray(sigma, dtype=float).tolist()
-    (p00, p01), (p10, p11) = np.asarray(dsigma, dtype=float).tolist()
-    d = s00 * s11 - s01 * s10
-    if not (d > 0.0 and s00 > 0.0 and math.isfinite(d)):
-        raise DomainError("sigma must be positive definite")
+    ((s00, s01), (s10, s11)), ((p00, p01), (p10, p11)), d = _checked(sigma, dsigma)
     excess = 4.0 * d - 1.0
     if excess < -PURITY_MARGIN:
         raise UnphysicalStateError(f"det(sigma) = {d} < 1/4")
@@ -135,13 +138,9 @@ def theta_max(sigma: np.ndarray, dsigma: np.ndarray, eta: float = 1.0) -> ThetaM
     degenerate when the magnitudes of the two eigenvalues, |m + r| and
     |m - r|, differ by 2 min(|m|, r) <= 1e-9 (|m| + r).  For eta < 1 a
     360-point grid plus golden-section refinement maximizes cfi_bhd
-    directly.
+    directly.  Raises DomainError as qfi_gaussian does.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    dsigma = np.asarray(dsigma, dtype=float)
-    _sigma_inv(sigma)  # positive-definite gate
-    (s00, _), (s10, s11) = sigma.tolist()
-    (p00, _), (p10, p11) = dsigma.tolist()
+    ((s00, _), (s10, s11)), ((p00, _), (p10, p11)), _ = _checked(sigma, dsigma)
     l00 = math.sqrt(s00)
     l10 = s10 / l00
     l11 = math.sqrt(s11 - l10 * l10)

@@ -28,7 +28,6 @@ __all__ = [
     "SteadyState",
     "BistabilityWindow",
     "rossi_params",
-    "coupling_to_si",
     "drive_amplitude",
     "steady_state",
     "bistability_window",
@@ -83,7 +82,7 @@ class SystemParams:
     @property
     def g_si(self) -> float:
         """Coupling in rad/(s m), g_freq * sqrt(2 m omega_m / hbar)."""
-        return coupling_to_si(self.g_freq, self.mass, self.omega_m)
+        return self.g_freq * math.sqrt(2.0 * self.mass * self.omega_m / HBAR)
 
     def with_(self, **overrides) -> "SystemParams":
         return replace(self, **overrides)
@@ -139,15 +138,6 @@ def rossi_params(**overrides) -> SystemParams:
     defaults["delta0"] = overrides.get("delta0", -2.0 * kappa)
     defaults["cutoff"] = overrides.get("cutoff", 5.0 * defaults["omega_m"])
     return SystemParams(**defaults)
-
-
-def coupling_to_si(g_freq: float, mass: float, omega_m: float) -> float:
-    """Convert the frequency-convention coupling to rad/(s m)."""
-    if mass <= 0 or omega_m <= 0:
-        raise DomainError("mass and omega_m must be positive")
-    if g_freq < 0:
-        raise DomainError("g_freq must be non-negative")
-    return g_freq * math.sqrt(2.0 * mass * omega_m / HBAR)
 
 
 def drive_amplitude(params: SystemParams, use_total_kappa: bool = False) -> float:

@@ -21,8 +21,8 @@ from typing import ClassVar
 import numpy as np
 
 from .dynamics import (CovarianceMatrix4, DiffusionMatrix, DriftMatrix,
-                       brownian_laplace, diffusion_matrix, drift_matrix,
-                       lyapunov_solve, stationary_covariance, _E1)
+                       diffusion_matrix, drift_matrix, lyapunov_solve,
+                       stationary_covariance, _E1)
 from .errors import DomainError, UnstableDriftError
 from .fisher import FisherReport, cfi_bhd, qfi_gaussian, theta_max
 from .output import MeasurementSpec, output_covariance, output_map
@@ -110,19 +110,6 @@ def output_state(sigma_opt: np.ndarray, spec: MeasurementSpec,
     return SimpleNamespace(matrix=output_covariance(sigma_opt, spec))
 
 
-def cavity_dsigma_opt(params: SystemParams,
-                      settings: PipelineSettings = PipelineSettings(),
-                      cavity: CavityState | None = None) -> np.ndarray:
-    """d(sigma_opt)/dg at the configured coupling, from the derivative
-    Lyapunov equation (``_cavity_derivative_lyapunov``).  ``cavity``, the
-    state at ``params`` when the caller already has it, spares a re-solve."""
-    if settings.derivative_method != "derivative-lyapunov":
-        raise DomainError(f"unknown derivative method {settings.derivative_method!r}; "
-                          "the one route is 'derivative-lyapunov'")
-    return _cavity_derivative_lyapunov(
-        params, settings, cavity or cavity_covariance(params, settings))
-
-
 def _steady_derivatives(params: SystemParams, ss: SteadyState):
     """(d alpha/dg, d delta/dg) by implicit differentiation of the
     photon-number cubic, g in the frequency convention."""
@@ -141,18 +128,25 @@ def _steady_derivatives(params: SystemParams, ss: SteadyState):
     return dalpha, ddelta
 
 
-def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings,
-                                cav: CavityState) -> np.ndarray:
-    """d(sigma_opt)/dg via the derivative Lyapunov equation
+def cavity_dsigma_opt(params: SystemParams,
+                      settings: PipelineSettings = PipelineSettings(),
+                      cavity: CavityState | None = None) -> np.ndarray:
+    """d(sigma_opt)/dg at the configured coupling, from the derivative
+    Lyapunov equation
 
         A s' + s' A^T = -(A' s + s A'^T + D'),
 
     with A' from implicit differentiation of the steady state and D' from
     the Frechet derivative of exp(A tau) inside the Brownian integral.  It
     reuses the cavity state's eigendecomposition, its Laplace transforms
-    L, L' (re-evaluated only on the frequency path, which keeps none) and
-    the LU of the Lyapunov operator, which is the same as for sigma.
+    L, L' and the LU of the Lyapunov operator, which is the same as for
+    sigma.  ``cavity``, the state at ``params`` when the caller already has
+    it, spares a re-solve.
     """
+    if settings.derivative_method != "derivative-lyapunov":
+        raise DomainError(f"unknown derivative method {settings.derivative_method!r}; "
+                          "the one route is 'derivative-lyapunov'")
+    cav = cavity or cavity_covariance(params, settings)
     ss, a, sigma_s = cav.steady, cav.drift, cav.covariance.matrix_scaled
     if not a.stable:
         raise UnstableDriftError("derivative Lyapunov solve requires a Hurwitz drift")
@@ -169,8 +163,6 @@ def _cavity_derivative_lyapunov(params: SystemParams, settings: PipelineSettings
     # d/dg int k(tau) e^(A tau) e1 dtau: divided differences of L(lambda)
     lam, vec, c_vec, _ = a.spectrum
     lap, dlap = cav.diffusion.laplace, cav.diffusion.dlaplace
-    if lap is None:
-        lap, dlap, _ = brownian_laplace(params, lam)
     b_mat = np.linalg.solve(vec, da.astype(complex) @ vec)
     dl = lam[None, :] - lam[:, None]
     close = np.abs(dl) < 1e-8 * np.max(np.abs(lam))

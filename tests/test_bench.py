@@ -52,7 +52,8 @@ def test_runs_merge_into_one_file(bench, tmp_path):
                       "coupling derivative, implicit Lyapunov",
                       "coupling derivative, Richardson FD",
                       "fisher_report (auto theta, default settings)",
-                      "fisher_report at T = 1e-5 K"):
+                      "fisher_report at T = 1e-5 K",
+                      "fisher_report at T = 2.5e-4 K"):
             _check_timing(run["stages_ms"][stage], n)
         for stage in ("gaussian_to_fock, nu = 25, n_max = 1000",
                       "qfi_fock, squeezed-thermal trio, n_max = 1000",

@@ -24,9 +24,18 @@ def rossi_point():
     return p, ss, a, d
 
 
+def _near_defective(p, a):
+    """a's optical block beside a mechanical block whose double pole is
+    split by 1e-12, so that cond(V) >= 1e10."""
+    m = np.zeros((4, 4))
+    m[0, 0], m[0, 1], m[1, 1] = -p.omega_m, p.omega_m, -p.omega_m * (1.0 + 1e-12)
+    m[2:, 2:] = a.matrix_scaled[2:, 2:]
+    return DriftMatrix(matrix_scaled=m)
+
+
 class TestDriftMatrix:
     def test_entry_pattern(self, rossi_point):
-        """Zero-point units, the ones pipeline._cavity_derivative_lyapunov
+        """Zero-point units, the ones pipeline.cavity_dsigma_opt
         assumes when it writes dA/dg by hand: x_zp and p_zp turn 1/m and
         -m omega_m^2 into +-omega_m and the couplings into multiples of
         g alpha, with g the coupling in the frequency convention."""
@@ -117,6 +126,28 @@ class TestDiffusionMatrix:
                           for s in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)}
                 assert len(counts) == 1
 
+    @pytest.mark.parametrize("temperature", [1e-5, 2.5e-4])
+    def test_cold_fraction_matches_frequency_integral(self, monkeypatch, temperature):
+        """Cold enough that more than 8 Matsubara nodes need the continued
+        fraction of e^w E1(w) (hundreds at 1e-5 K, about a dozen at
+        0.25 mK): the Brownian block agrees with the frequency-domain oracle
+        to 1e-9 of ||D||."""
+        import omfisher.dynamics as dyn
+        p = rossi_params(temperature=temperature)
+        a = drift_matrix(p, steady_state(p))
+        args, real = [], dyn._lentz
+
+        def recording(w):
+            args.append(w)
+            return real(w)
+
+        monkeypatch.setattr(dyn, "_lentz", recording)
+        d = diffusion_matrix(p, a)
+        assert d.path == "laplace" and len(args) > 8
+        brown_t = d.matrix_scaled - np.diag([0.0, 0.0, p.kappa / 2.0, p.kappa / 2.0])
+        brown_f, _ = brownian_diffusion_freq(p, a)
+        assert np.linalg.norm(brown_f - brown_t) <= 1e-9 * np.linalg.norm(d.matrix_scaled)
+
     def test_microkelvin_meets_tolerance(self):
         p = rossi_params(temperature=1e-6)
         d = diffusion_matrix(p, drift_matrix(p, steady_state(p)))
@@ -135,11 +166,8 @@ class TestDiffusionMatrix:
         sends u to the frequency-domain integral; the reported error is the
         one quad_vec returned."""
         p, _, a, _ = rossi_point
-        m = np.zeros((4, 4))
-        m[0, 0], m[0, 1], m[1, 1] = -p.omega_m, p.omega_m, -p.omega_m * (1.0 + 1e-12)
-        m[2:, 2:] = a.matrix_scaled[2:, 2:]
-        drift = DriftMatrix(matrix_scaled=m)
-        assert np.linalg.cond(np.linalg.eig(m)[1]) >= 1e10
+        drift = _near_defective(p, a)
+        assert np.linalg.cond(np.linalg.eig(drift.matrix_scaled)[1]) >= 1e10
         d = diffusion_matrix(p, drift)
         brown_f, err = brownian_diffusion_freq(p, drift)
         assert d.path == "frequency"
@@ -334,7 +362,6 @@ class TestOneSpectrum:
     def _count(monkeypatch):
         from functools import cached_property
         import omfisher.dynamics as dyn
-        import omfisher.pipeline as pipe
         calls = {"eig": 0, "eigvals": 0, "brownian_laplace": 0, "operator": 0}
 
         def counted(real, name):
@@ -345,9 +372,8 @@ class TestOneSpectrum:
 
         for name in ("eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), name))
-        laplace = counted(dyn.brownian_laplace, "brownian_laplace")
-        monkeypatch.setattr(dyn, "brownian_laplace", laplace)
-        monkeypatch.setattr(pipe, "brownian_laplace", laplace)
+        monkeypatch.setattr(dyn, "brownian_laplace",
+                            counted(dyn.brownian_laplace, "brownian_laplace"))
         build = cached_property(
             counted(DriftMatrix.__dict__["lyapunov_operator"].func, "operator"))
         build.__set_name__(DriftMatrix, "lyapunov_operator")
@@ -379,21 +405,23 @@ class TestOneSpectrum:
         assert calls == {"eig": solves, "eigvals": 0, "brownian_laplace": solves,
                          "operator": solves}
 
-    def test_frequency_path_evaluates_laplace_for_derivative(self, monkeypatch):
-        """The frequency path keeps no Laplace transforms, so the implicit
-        derivative evaluates them itself, at the same eigenvalues."""
-        from dataclasses import replace
-        from omfisher.pipeline import (PipelineSettings, _cavity_derivative_lyapunov,
-                                       cavity_covariance)
-        p = rossi_params()
-        settings = PipelineSettings()
-        cav = cavity_covariance(p, settings)
-        d_ref = _cavity_derivative_lyapunov(p, settings, cav)
-        freq = replace(cav, diffusion=replace(cav.diffusion, laplace=None,
-                                              dlaplace=None, path="frequency"))
+    def test_frequency_path_evaluates_laplace_for_derivative(self, rossi_point,
+                                                             monkeypatch):
+        """On the frequency path diffusion_matrix still evaluates L and L'
+        at the drift eigenvalues, so the implicit derivative evaluates no
+        Laplace transform of its own."""
+        from omfisher.pipeline import CavityState, cavity_dsigma_opt
+        p, ss, a, _ = rossi_point
+        drift = _near_defective(p, a)
+        d = diffusion_matrix(p, drift)
+        lap, dlap, _ = brownian_laplace(p, drift.spectrum[0])
+        assert d.path == "frequency"
+        assert np.array_equal(d.laplace, lap) and np.array_equal(d.dlaplace, dlap)
+        cav = CavityState(steady=ss, drift=drift, diffusion=d,
+                          covariance=stationary_covariance(drift, d))
         calls = self._count(monkeypatch)
-        assert np.array_equal(_cavity_derivative_lyapunov(p, settings, freq), d_ref)
-        assert calls["brownian_laplace"] == 1 and calls["operator"] == 0
+        assert np.all(np.isfinite(cavity_dsigma_opt(p, cavity=cav)))
+        assert calls == {"eig": 0, "eigvals": 0, "brownian_laplace": 0, "operator": 0}
 
     @pytest.mark.parametrize("temperature, f_series", [(0.0, 0), (0.01, 1), (11.0, 1)])
     def test_asymptotic_series_only_where_needed(self, monkeypatch, temperature,
@@ -457,7 +485,8 @@ class TestSpecialFunctions:
         w = self._arguments()
         ref = np.exp(w) * exp1(w)
         assert np.all(np.abs(w) <= 40.0 + 1e-9) and np.min(np.abs(w)) < 2e-4
-        # one call takes the array path, calls of 8 the per-argument one
+        # one call of all arguments and calls of 8: the fraction runs one
+        # argument at a time, the series to the length its largest |w| needs
         batched = _exp_e1(w)
         single = np.concatenate([_exp_e1(w[i:i + 8]) for i in range(0, w.size, 8)])
         for value in (batched, single):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from omfisher.errors import (DerivativeUndefinedError, DomainError,
                              UnphysicalStateError)
-from omfisher.fisher import _sigma_inv, cfi_bhd, qfi_gaussian, theta_max
+from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
 from omfisher.oracle import dsigma_dg, qfi_fock_converged
 from omfisher.params import rossi_params
 from omfisher.pipeline import PipelineSettings, cavity_dsigma_opt
@@ -31,7 +31,7 @@ class SldCoefficients:
 def sld_coefficients(sigma, dsigma) -> SldCoefficients:
     """Phi = -(1/2) d(sigma^-1) and nu = Tr[Phi sigma], the coefficients of
     the printed large-purity QFI expression (see ``qfi_gaussian_printed``)."""
-    si = _sigma_inv(sigma)
+    si = np.linalg.inv(sigma)
     dinv = -si @ np.asarray(dsigma, dtype=float) @ si
     phi = -0.5 * dinv
     nu = float(np.trace(phi @ sigma))
@@ -45,7 +45,7 @@ def qfi_gaussian_printed(sigma, dsigma) -> float:
     it gives (nu'/nu)^2 (1 - 1/(8 nu^2)) against the exact
     nu'^2 / (nu^2 - 1/4).
     """
-    si = _sigma_inv(sigma)
+    si = np.linalg.inv(sigma)
     dinv = -si @ np.asarray(dsigma, dtype=float) @ si
     k = dinv @ np.asarray(sigma, dtype=float)
     return float(0.5 * np.trace(k @ k) - 0.125 * np.linalg.det(dinv))
@@ -123,8 +123,19 @@ class TestQfi:
         assert co.nu == pytest.approx(float(np.trace(co.phi @ sigma)), rel=1e-12)
 
     def test_singular_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            qfi_gaussian(np.zeros((2, 2)), np.eye(2))
+        """One gate for qfi_gaussian and theta_max: sigma finite and
+        positive definite (det > 0 alone admits -I), dsigma finite."""
+        nan, inf = float("nan"), float("inf")
+        cases = [(np.zeros((2, 2)), np.eye(2)),
+                 (-np.eye(2), np.eye(2)),
+                 (np.diag([inf, 1.0]), np.eye(2)),
+                 (np.array([[1.0, nan], [nan, 1.0]]), np.eye(2)),
+                 (np.eye(2), np.diag([nan, 0.0])),
+                 (np.eye(2), np.array([[0.0, inf], [inf, 0.0]]))]
+        for sigma, dsigma in cases:
+            for fn in (qfi_gaussian, theta_max):
+                with pytest.raises(DomainError):
+                    fn(sigma, dsigma)
 
     def test_unphysical_sigma_rejected(self):
         with pytest.raises(UnphysicalStateError):

@@ -11,8 +11,7 @@ from omfisher.constants import HBAR, TWO_PI
 from omfisher.dynamics import DriftMatrix, drift_matrix
 from omfisher.errors import AmbiguousBranchError, DomainError
 from omfisher.params import (BistabilityWindow, SystemParams, bistability_window,
-                             coupling_to_si, drive_amplitude, rossi_params,
-                             steady_state)
+                             drive_amplitude, rossi_params, steady_state)
 
 K0 = TWO_PI * 18.5e6
 
@@ -61,25 +60,22 @@ def test_constants_equal_scipy_codata():
 
 
 class TestCouplingToSi:
+    """SystemParams.g_si, the coupling in rad/(s m) of the equations of
+    motion."""
+
     def test_zero(self):
-        assert coupling_to_si(0.0, 16e-12, TWO_PI * 1.14e6) == 0.0
+        assert rossi_params(g_freq=0.0).g_si == 0.0
 
     def test_rossi_value(self):
-        g = coupling_to_si(TWO_PI * 129.0, 16e-12, TWO_PI * 1.14e6)
+        g = rossi_params().g_si
         expected = TWO_PI * 129.0 * math.sqrt(2 * 16e-12 * TWO_PI * 1.14e6 / HBAR)
         assert g == pytest.approx(expected, rel=1e-15)
         assert g == pytest.approx(1.1949e18, rel=1e-3)
 
     def test_mass_scaling(self):
-        g1 = coupling_to_si(1.0, 1e-12, 1e6)
-        g2 = coupling_to_si(1.0, 2e-12, 1e6)
+        g1 = rossi_params(g_freq=1.0, mass=1e-12, omega_m=1e6).g_si
+        g2 = rossi_params(g_freq=1.0, mass=2e-12, omega_m=1e6).g_si
         assert g2 / g1 == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            coupling_to_si(1.0, -1e-12, 1e6)
-        with pytest.raises(DomainError):
-            coupling_to_si(-1.0, 1e-12, 1e6)
 
 
 class TestSteadyState:
@@ -227,6 +223,8 @@ class TestParamsValidation:
             rossi_params(temperature=-0.1)
         with pytest.raises(DomainError):
             rossi_params(gamma=0.0)
+        with pytest.raises(DomainError):
+            rossi_params(g_freq=-1.0)
 
     def test_kappa_total(self):
         p = rossi_params()
