@@ -13,9 +13,10 @@ timed with time.perf_counter in this one process:
   1e-5 K and 2.5e-4 K, the baseline point cooled until the Matsubara sum
   and the continued fraction of e^w E1(w) take many arguments;
 - oracle stages, max(1, N // 40) calls each after one warm-up call:
-  gaussian_to_fock and qfi_fock at n_max = 1000 on validate's
-  squeezed-thermal family (nu = 25, r = 0.15), and the frequency-domain
-  Brownian diffusion at the baseline point;
+  qfi_fock_converged (n_max = 1000, then 1020) on validate's thermal
+  (nu = 25) and squeezed-thermal (nu = 25, r = 0.15) families with
+  validate's steps, and the frequency-domain Brownian diffusion at the
+  baseline point;
 - end-to-end cases: the fig1, fig2, fig4a and fig5 preset sweeps and one
   full validate(), each max(1, N // 40) times;
 - the import case: max(1, N // 40) fresh processes, each importing
@@ -83,7 +84,7 @@ def _stages(n: int) -> dict:
     from omfisher.dynamics import (brownian_diffusion_freq, diffusion_matrix,
                                    drift_matrix, stationary_covariance)
     from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
-    from omfisher.oracle import gaussian_to_fock, qfi_fock, richardson_dsigma_opt
+    from omfisher.oracle import qfi_fock_converged, richardson_dsigma_opt
     from omfisher.output import output_covariance, output_map
     from omfisher.params import rossi_params, steady_state
     from omfisher.pipeline import (PipelineSettings, build_measurement,
@@ -136,13 +137,12 @@ def _stages(n: int) -> dict:
         "fisher_report at T = 2.5e-4 K":
             (lambda _: fisher_report(cool, cool_spec, default, auto_theta=True), None),
     }
-    h = 1e-4
-    trio = [gaussian_to_fock(_squeezed_thermal(g), 1000) for g in (-h, 0.0, h)]
     oracle_cases = {
-        "gaussian_to_fock, nu = 25, n_max = 1000":
-            (lambda _: gaussian_to_fock(_squeezed_thermal(0.0), 1000), None),
-        "qfi_fock, squeezed-thermal trio, n_max = 1000":
-            (lambda _: qfi_fock(*trio, h), None),
+        "qfi_fock_converged, thermal family, nu = 25":
+            (lambda _: qfi_fock_converged(lambda g: (25.0 + g) * np.eye(2), 0.0, 1e-3),
+             None),
+        "qfi_fock_converged, squeezed-thermal family, nu = 25":
+            (lambda _: qfi_fock_converged(_squeezed_thermal, 0.0, 1e-4), None),
         "brownian_diffusion_freq": (lambda a: brownian_diffusion_freq(p, a),
                                     decomposed_drift),
     }

@@ -183,5 +183,5 @@ def theta_max(sigma: np.ndarray, dsigma: np.ndarray, eta: float = 1.0) -> ThetaM
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             f1 = cfi_bhd(sigma, dsigma, x1, eta)
-    return ThetaMaxResult(theta=(0.5 * (lo + hi)) % math.pi,
+    return ThetaMaxResult(theta=float((0.5 * (lo + hi)) % math.pi),
                           lambda_max=lam_max, degenerate=degenerate)

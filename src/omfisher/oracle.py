@@ -14,11 +14,10 @@ the r-free generator of that block.  The QFI is the SLD sum at rho(g),
 
     H = sum_{i,j: p_i + p_j > eps} 2 |<i| drho |j>|^2 / (p_i + p_j),
 
-taken in the eigenbasis U(g) that the construction gives, with drho the
-central difference of rho(g +- h) moved into that basis block by block by
-real matrix products, three per complex one (drho is parity-blocked).  No
-eigensolver runs on a density matrix, and the SLD path forms no dense
-matrix of the whole truncated space.
+with drho the central difference of rho(g +- h), taken in the frame where
+the state at g is thermal (sigma(g) = nu M M^T mapped through M^-1, a
+unitary on the states), so its squeeze is never truncated and the sum runs
+over photon numbers.  No eigensolver runs on a density matrix.
 
 The numeric CFI integrates (d_g ln P)^2 P over the outcome axis with
 central-difference log-derivatives.
@@ -95,41 +94,33 @@ def default_n_max(nu: float) -> int:
     return 80 if nu <= 3.0 else int(math.ceil(40.0 * nu))
 
 
-def gaussian_to_fock(sigma: np.ndarray, n_max: int) -> FockState:
-    """Zero-mean Gaussian state with covariance ``sigma`` in the Fock basis.
-
-    Decomposes sigma = S (nu I) S^T with S a rotation times a squeeze and
-    nu = sqrt(det sigma) >= 1/2: the thermal state with mean occupation
-    nu - 1/2 gives the weights, the squeeze exp(r K0) the two parity blocks
-    (_squeeze_block) and the rotation the phase phi, all truncated to photon
-    numbers 0..n_max.
-    """
+def _symplectic_factor(sigma: np.ndarray) -> tuple[float, float, float]:
+    """(nu, r, phi) with sigma = nu M M^T, M = R(phi) diag(e^r, e^-r)."""
     sigma = np.asarray(sigma, dtype=float)
     det = float(np.linalg.det(sigma))
     if det < 0.25 * (1.0 - 1e-12):
         raise UnphysicalStateError(f"det(sigma) = {det} < 1/4")
-    nu = math.sqrt(det)
+    # sigma / nu = R diag(e^2r, e^-2r) R^T, stretched axis last (eigh ascends)
+    evals, evecs = np.linalg.eigh(sigma / math.sqrt(det))
+    return math.sqrt(det), 0.5 * math.log(evals[1]), math.atan2(evecs[1, 1], evecs[0, 1])
 
-    # sigma / nu = R diag(e^2r, e^-2r) R^T
-    p = sigma / nu
-    evals, evecs = np.linalg.eigh(p)
-    # eigh returns ascending; put the stretched axis first
-    e_big = evals[1]
-    r = 0.5 * math.log(e_big)
-    v = evecs[:, 1]
-    # squeeze along the x axis by e^r, then rotate the stretched axis onto
-    # the leading eigenvector (U = e^{+i phi n} maps sigma -> R sigma R^T)
-    phi = math.atan2(v[1], v[0])
 
+def gaussian_to_fock(sigma: np.ndarray, n_max: int) -> FockState:
+    """Zero-mean Gaussian state with covariance ``sigma`` in the Fock basis,
+    truncated to photon numbers 0..n_max (_symplectic_factor, _fock_state)."""
+    return _fock_state(*_symplectic_factor(sigma), n_max)
+
+
+def _fock_state(nu: float, r: float, phi: float, n_max: int) -> FockState:
+    """e^{i phi n} exp(r K0) rho_th(nu) (...)^H: the thermal state with mean
+    occupation nu - 1/2 gives the weights, the squeeze the parity blocks."""
     nbar = nu - 0.5
     if nbar <= 0.0:
         weights = np.zeros(n_max + 1)
         weights[0] = 1.0
     else:
-        log_p = (np.arange(n_max + 1) * math.log(nbar / (nbar + 1.0))
-                 - math.log(nbar + 1.0))
-        weights = np.exp(log_p)
-
+        weights = np.exp(np.arange(n_max + 1) * math.log(nbar / (nbar + 1.0))
+                         - math.log(nbar + 1.0))
     blocks = tuple(_squeeze_block(parity, len(range(parity, n_max + 1, 2)), r)
                    for parity in (0, 1))
     trace = sum(float(np.sum((s * s) @ weights[parity::2]))
@@ -182,18 +173,17 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
     """QFI at ``centre`` from the operator SLD definition, with
     d rho = (rho(plus) - rho(minus)) / 2h.
 
-    The sum runs in the centre's eigenbasis U_c, one parity block at a time.
-    There U_c^H rho(g +- h) U_c = T T^H with T = S_c^T e^{i (phi - phi_c) n}
-    S p^(1/2), so with T0 the mean and T' the central difference of the two
-    T, U_c^H d rho U_c = T0 T'^H + T' T0^H exactly, and no difference of
-    two nearly equal density matrices is taken.  T = A + iB is carried as
-    the real pair A, B, and T0 T'^H takes three real products.  Every block
-    must be orthogonal, as the blocks gaussian_to_fock builds are.
-
-    Both blocks work in one buffer of seven block-sized slots, allocated
-    once per call; the products and elementwise steps write into its slots,
-    so a call makes no other array of the block size and repeated calls
-    reuse the same memory rather than fault in fresh pages for each step.
+    The centre must be diagonal in the number basis (as _centred builds it):
+    the sum runs over photon numbers, one parity block at a time, with its
+    weights alone.  Only the phase difference dphi of the other two states
+    enters it: rho(g - h) = T- T-^T with T- = S- p-^(1/2) real, and
+    rho(g + h) = T+ T+^H with T+_jk = e^{i dphi (j - k)} S+_jk p+_k^(1/2)
+    (j - k is even on a block: phases count modulo pi).  With T0 the mean
+    and T' the central difference of the two, d rho = T0 T'^H + T' T0^H
+    exactly; as Im T0 = h Im T', that is two real products and one
+    symmetric one (BLAS syrk).  The blocks must be orthogonal, as
+    gaussian_to_fock's are.  Every step works in one buffer of five
+    block-sized slots, allocated once per call.
     """
     states = (minus, centre, plus)
     n_max = centre.n_max
@@ -201,77 +191,87 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
         raise DomainError("Fock states must share the truncation")
     if max(st.trace_deficit for st in states) > 1e-10:
         raise DomainError("trace deficit too large; increase n_max")
+    if centre.weights.shape != (n_max + 1,) or any(np.any(s != np.eye(len(s)))
+                                                   for s in centre.blocks):
+        raise DomainError("the centre state must be diagonal in the number basis")
     shapes = [(len(range(parity, n_max + 1, 2)),) * 2 for parity in (0, 1)]
-    for st in states:
+    for st in (minus, plus):
         if st.weights.shape != (n_max + 1,) or [b.shape for b in st.blocks] != shapes:
             raise DomainError("Fock state blocks must split into the even and "
                               "odd photon numbers")
-    work = np.empty(7 * shapes[0][0] ** 2)
+    dphi = plus.phi - minus.phi
+    work = np.empty(5 * shapes[0][0] ** 2)
     total = 0.0
-    for parity, s_c in enumerate(centre.blocks):
-        m = len(s_c)
-        a0, b0, a1, b1, re, im, tmp = work[:7 * m * m].reshape(7, m, m)
-        _centre_roots(minus, plus, centre.phi, parity, h, s_c,
-                      (a0, b0, a1, b1), (re, im, tmp))
-        # d rho = Y + Y^H with Y = T0 T'^H = A0 A'^T + B0 B'^T + i (B0 A'^T - A0 B'^T),
-        # in three products: Im Y = (A0 + B0)(A' - B')^T - A0 A'^T + B0 B'^T
-        np.matmul(a0, a1.T, out=re)
-        np.matmul(b0, b1.T, out=tmp)
-        np.subtract(tmp, re, out=im)
-        re += tmp
-        a0 += b0
-        a1 -= b1
-        im += np.matmul(a0, a1.T, out=tmp)
-        # |<i| d rho |j>|^2 into slot a0
-        np.add(re, re.T, out=a0)
-        np.subtract(im, im.T, out=b0)
-        a0 *= a0
-        b0 *= b0
-        a0 += b0
+    for parity in (0, 1):
+        n = np.arange(parity, n_max + 1, 2)
+        ap, bp, a0, a1, x = work[:5 * n.size ** 2].reshape(5, n.size, n.size)
+        # T+ = A+ + iB+: cos(dphi (j - k)) = c_j c_k + s_j s_k, sin = s_j c_k - c_j s_k
+        c, s = np.cos(dphi * n), np.sin(dphi * n)
+        q = np.sqrt(plus.weights[parity::2])
+        np.multiply(plus.blocks[parity], q * c, out=ap)
+        np.multiply(plus.blocks[parity], q * s, out=x)
+        np.multiply(ap, s[:, None], out=bp)
+        ap *= c[:, None]
+        ap += np.multiply(x, s[:, None], out=a1)
+        x *= c[:, None]
+        bp -= x
+        # T- = A- = S- q-; A' = (A+ - A-)/2h, A0 = (A+ + A-)/2, B' = B+/2h = B0/h
+        np.multiply(minus.blocks[parity], np.sqrt(minus.weights[parity::2]), out=a0)
+        np.subtract(ap, a0, out=a1)
+        a1 *= 0.5 / h
+        a0 += ap
+        a0 *= 0.5
+        bp *= 0.5 / h
+        # Re d rho = A0 A'^T + A' A0^T + 2h B' B'^T, Im d rho = B' A+^T - A+ B'^T
+        np.matmul(a0, a1.T, out=x)
+        np.matmul(bp, ap.T, out=a1)
+        np.matmul(bp, bp.T, out=a0)  # symmetric: one BLAS syrk, half a product
+        np.add(x, x.T, out=ap)
+        a0 *= 2.0 * h
+        ap += a0
+        np.subtract(a1, a1.T, out=bp)
+        # |<i| d rho |j>|^2 into slot ap
+        ap *= ap
+        bp *= bp
+        ap += bp
         p = centre.weights[parity::2]
-        np.add(p[:, None], p[None, :], out=tmp)
-        mask = tmp > _SLD_EPS
-        total += 2.0 * float(np.sum(np.divide(a0, tmp, out=a0, where=mask),
+        mask = np.add.outer(p, p, out=x) > _SLD_EPS
+        total += 2.0 * float(np.sum(np.divide(ap, x, out=ap, where=mask),
                                     where=mask))
     return total
 
 
-def _centre_roots(minus: FockState, plus: FockState, phi_c: float, parity: int,
-                  h: float, s_c: np.ndarray, out, scratch) -> None:
-    """T = S_c^T W on one parity block, W = A + iB = e^{i (phi - phi_c) n}
-    S p^(1/2) of ``minus`` and ``plus``: writes (A0, B0, A', B') of their
-    mean T0 and central difference T' to ``out``, using the three blocks of
-    ``scratch``.  W is averaged and differenced before the product."""
-    n = np.arange(parity, minus.n_max + 1, 2)
-    w_minus, w_plus, w_mean = scratch
-    for k, trig in enumerate((np.cos, np.sin)):
-        for st, w in ((minus, w_minus), (plus, w_plus)):
-            # e^{i pi n} is constant on a block, so the phase offset counts modulo pi
-            dphi = (st.phi - phi_c + 0.5 * math.pi) % math.pi - 0.5 * math.pi
-            np.multiply(st.blocks[parity], np.sqrt(st.weights[parity::2]), out=w)
-            w *= trig(dphi * n)[:, None]
-        np.add(w_plus, w_minus, out=w_mean)
-        w_mean *= 0.5
-        w_plus -= w_minus
-        w_plus /= 2.0 * h
-        np.matmul(s_c.T, w_mean, out=out[k])
-        np.matmul(s_c.T, w_plus, out=out[2 + k])
+def _centred(sigmas, n_max: int) -> tuple[FockState, FockState, FockState]:
+    """The states of (sigma(g - h), sigma(g), sigma(g + h)) mapped through
+    M^-1, sigma(g) = nu M M^T (on states U^H . U, U = e^{i phi n} exp(r K0),
+    which keeps the QFI): the centre is thermal, and a +-h state of factor
+    M+- keeps the O(h) r' and phi' of M^-1 M+- = R(phi') diag(e^r', e^-r') R."""
+    rot = lambda t: np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    nu, r, phi = _symplectic_factor(sigmas[1])
+    m_inv = np.array([[math.exp(-r)], [math.exp(r)]]) * rot(-phi)
+    states = []
+    for sigma in (sigmas[0], sigmas[2]):
+        nu_s, r_s, phi_s = _symplectic_factor(sigma)
+        u, sv, _ = np.linalg.svd(m_inv @ (rot(phi_s) * [math.exp(r_s), math.exp(-r_s)]))
+        states.append(_fock_state(nu_s, 0.5 * math.log(sv[0] / sv[1]),
+                                  math.atan2(u[1, 0], u[0, 0]), n_max))
+    return states[0], _fock_state(nu, 0.0, 0.0, n_max), states[1]
 
 
 def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,
                        h: float, n_max: int | None = None) -> tuple[float, float]:
     """QFI at g with an n_max -> n_max + 20 stability check.
 
-    ``sigma_of_g`` is evaluated at g - h, g and g + h; the state at g, whose
-    eigenbasis carries the SLD sum, also sets the default n_max.  Returns
-    (qfi, relative change under the truncation bump); raises
-    ConvergenceError when the bump moves the value by more than _FOCK_RTOL.
+    ``sigma_of_g`` is evaluated at g - h, g and g + h and the states taken
+    to the frame where the one at g is thermal (_centred); its nu sets the
+    default n_max.  Returns (qfi, relative change under the truncation
+    bump); raises ConvergenceError when the bump moves it by more than
+    _FOCK_RTOL.
     """
     sigmas = [np.asarray(sigma_of_g(x), dtype=float) for x in (g - h, g, g + h)]
     if n_max is None:
         n_max = default_n_max(math.sqrt(np.linalg.det(sigmas[1])))
-    vals = [qfi_fock(*(gaussian_to_fock(s, n) for s in sigmas), h)
-            for n in (n_max, n_max + 20)]
+    vals = [qfi_fock(*_centred(sigmas, n), h) for n in (n_max, n_max + 20)]
     drift = abs(vals[1] - vals[0]) / max(abs(vals[1]), 1e-300)
     if drift > _FOCK_RTOL:
         raise ConvergenceError(

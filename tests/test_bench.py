@@ -55,8 +55,8 @@ def test_runs_merge_into_one_file(bench, tmp_path):
                       "fisher_report at T = 1e-5 K",
                       "fisher_report at T = 2.5e-4 K"):
             _check_timing(run["stages_ms"][stage], n)
-        for stage in ("gaussian_to_fock, nu = 25, n_max = 1000",
-                      "qfi_fock, squeezed-thermal trio, n_max = 1000",
+        for stage in ("qfi_fock_converged, thermal family, nu = 25",
+                      "qfi_fock_converged, squeezed-thermal family, nu = 25",
                       "brownian_diffusion_freq"):
             _check_timing(run["stages_ms"][stage], 1)
         assert set(run["end_to_end_s"]) == {"fig4a"}

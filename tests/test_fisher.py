@@ -277,12 +277,16 @@ class TestThetaMax:
             assert min(delta, math.pi - delta) < 1e-6
 
     def test_golden_section_for_imperfect_detector(self):
+        """The refined phase reaches the fine-grid maximum; it is a Python
+        float at every eta, as the closed form's is at eta = 1."""
         sigma = np.array([[1.72, -0.06], [-0.06, 1.51]])
         dsigma = np.array([[5.6e-4, -1.4e-4], [-1.4e-4, 3.5e-5]])
         res = theta_max(sigma, dsigma, eta=0.8)
         grid = np.linspace(0.0, math.pi, 100000, endpoint=False)
         vals = [cfi_bhd(sigma, dsigma, t, 0.8) for t in grid]
         assert cfi_bhd(sigma, dsigma, res.theta, 0.8) >= max(vals) * (1 - 1e-10)
+        for eta in (0.8, 0.5, 1.0):
+            assert type(theta_max(sigma, dsigma, eta=eta).theta) is float
 
     def test_degenerate_flag(self):
         res = theta_max(np.eye(2), np.eye(2))

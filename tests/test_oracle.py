@@ -8,9 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from omfisher.errors import DomainError, NumericalError, UnphysicalStateError
-from omfisher.oracle import (FockState, _k0_spectrum, _squeeze_block, cfi_numeric,
-                             default_n_max, gaussian_to_fock, qfi_fock,
-                             qfi_fock_converged)
+from omfisher.oracle import (FockState, _centred, _k0_spectrum, _squeeze_block,
+                             _symplectic_factor, cfi_numeric, default_n_max,
+                             gaussian_to_fock, qfi_fock, qfi_fock_converged)
 
 
 def _ladder(n_max: int) -> np.ndarray:
@@ -44,6 +44,15 @@ def _squeezed_thermal(nu, r, phi):
     return rot @ np.diag([nu * math.exp(2 * r), nu * math.exp(-2 * r)]) @ rot.T
 
 
+def _dense_unitary(r, phi, n_max):
+    """e^{i phi n} exp(r K0) on the full truncated space, by expm of the
+    rotation and squeeze generators."""
+    ns = np.arange(n_max + 1)
+    a = np.diag(np.sqrt(ns[1:].astype(float)), 1)
+    adag = a.T
+    return expm(1j * phi * (adag @ a)) @ expm(0.5 * r * (adag @ adag - a @ a))
+
+
 def _dense_fock(sigma, n_max):
     """Reference construction on the full truncated space: expm of the
     squeeze and rotation generators, then U rho_th U^H."""
@@ -57,9 +66,7 @@ def _dense_fock(sigma, n_max):
         diag = (ns == 0).astype(float)
     else:
         diag = nbar ** ns / (nbar + 1.0) ** (ns + 1)
-    a = np.diag(np.sqrt(ns[1:].astype(float)), 1)
-    adag = a.T
-    u = expm(1j * phi * (adag @ a)) @ expm(0.5 * r * (adag @ adag - a @ a))
+    u = _dense_unitary(r, phi, n_max)
     return u @ np.diag(diag) @ u.conj().T
 
 
@@ -185,6 +192,28 @@ class TestSqueezeBlock:
         assert peak < 3 * slot, peak / slot
 
 
+class TestCentredFrame:
+    @pytest.mark.parametrize("r0", [0.0, 0.3], ids=["thermal", "squeezed"])
+    def test_states_rotate_back_to_the_number_basis(self, r0):
+        """Each state of the centred trio, taken back by the centre's dense
+        U_c = e^{i phi_c n} exp(r_c K0), is the state gaussian_to_fock
+        builds from the unmapped covariance; U_c with phi_c + pi does the
+        same.  At r0 = 0 the centre is thermal and the angle eigh picks
+        for it is arbitrary."""
+        n_max, h = 200, 0.05
+        fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, r0 + 0.4 * g, 0.7 + 0.5 * g)
+        sigmas = [fam(g) for g in (-h, 0.0, h)]
+        trio = _centred(sigmas, n_max)
+        assert not any(np.any(s - np.eye(len(s))) for s in trio[1].blocks)
+        _, r_c, phi_c = _symplectic_factor(sigmas[1])
+        for phi in (phi_c, phi_c + math.pi):
+            u = _dense_unitary(r_c, phi, n_max)
+            for st, sigma in zip(trio, sigmas):
+                back = u @ st.rho @ u.conj().T
+                err = np.max(np.abs(back - gaussian_to_fock(sigma, n_max).rho))
+                assert err < 1e-10, (r0, phi, err)
+
+
 class TestQfiFock:
     def test_zero_derivative(self):
         st = gaussian_to_fock(1.2 * np.eye(2), 60)
@@ -212,17 +241,17 @@ class TestQfiFock:
         assert abs(formula - q) / q < 1e-3
 
     def test_blockwise_sum_matches_full_matrix(self):
-        """The parity-block SLD sum in the centre state's own eigenbasis
-        equals the full-matrix sum in the eigenbasis eigh finds for the dense
-        centre rho; states the truncation cannot hold still trip the
-        trace-deficit gate."""
+        """The parity-block SLD sum over the centred trio's photon numbers
+        equals the full-matrix sum of the same trio's dense rho, in the
+        eigenbasis eigh finds for the dense centre; states the truncation
+        cannot hold still trip the trace-deficit gate."""
         h = 1e-4
         compared = 0
         for n_max, nu, r, phi in _FOCK_CASES:
             dnu = 0.0 if nu == 0.5 else 0.3
             fam = lambda g: _squeezed_thermal(nu + dnu * g, r + 0.4 * g,
                                               phi + 0.5 * g)
-            trio = [gaussian_to_fock(fam(g), n_max) for g in (-h, 0.0, h)]
+            trio = _centred([fam(g) for g in (-h, 0.0, h)], n_max)
             if max(st.trace_deficit for st in trio) > 1e-10:
                 with pytest.raises(DomainError):
                     qfi_fock(*trio, h)
@@ -237,40 +266,65 @@ class TestQfiFock:
         assert qfi_fock(*two, h) == pytest.approx(
             _dense_sld_sum(*(st.rho for st in two), h), rel=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -2.1])
+    def test_centre_squeeze_is_not_truncated(self, monkeypatch, phi):
+        """At n_max = 40 the squeezed centre (nu = 1.3, r = 0.8) is held
+        exactly, as the thermal state of the centre's frame, so the first
+        evaluation of qfi_fock_converged already meets the exact Gaussian QFI;
+        squeezing the centre in the number basis leaves it 8.6e-3 short there."""
+        import omfisher.oracle as oracle
+        from omfisher.fisher import qfi_gaussian
+        values = []
+        fock = oracle.qfi_fock
+        monkeypatch.setattr(oracle, "qfi_fock",
+                            lambda *args: values.append(fock(*args)) or values[-1])
+        h = 1e-4
+        fam = lambda g: _squeezed_thermal(1.3 + 0.3 * g, 0.8 + 0.4 * g, phi + 0.5 * g)
+        qfi_fock_converged(fam, 0.0, h, n_max=40)
+        exact = qfi_gaussian(fam(0.0), (fam(h) - fam(-h)) / (2.0 * h))
+        assert values[0] == pytest.approx(exact, rel=1e-8)
+
     def test_parity_mixing_rejected(self):
         """A factored state keeps the even and the odd photon numbers in
         separate blocks, so a coherence between them cannot be written as
-        one; a record whose blocks do not split that way is rejected."""
+        one; a +-h record whose blocks do not split that way is rejected,
+        and so is a centre that is not diagonal in the number basis."""
         # |+><+|, |+> = (|0> + |1>)/sqrt 2, as one block over both parities
         mixing = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         coherent = FockState(1, 0.0, np.array([1.0, 0.0]), (mixing, np.eye(0)), 0.0)
         vacuum = gaussian_to_fock(0.5 * np.eye(2), 1)
-        for trio in ((coherent, vacuum, vacuum), (vacuum, coherent, vacuum),
-                     (vacuum, vacuum, coherent)):
+        for trio in ((coherent, vacuum, vacuum), (vacuum, vacuum, coherent)):
             with pytest.raises(DomainError, match="even and odd"):
                 qfi_fock(*trio, 1e-3)
+        with pytest.raises(DomainError, match="diagonal"):
+            qfi_fock(vacuum, coherent, vacuum, 1e-3)
+        squeezed = gaussian_to_fock(_squeezed_thermal(1.3, 0.2, 0.0), 40)
+        thermal = gaussian_to_fock(1.3 * np.eye(2), 40)
+        with pytest.raises(DomainError, match="diagonal"):
+            qfi_fock(thermal, squeezed, thermal, 1e-3)
 
     def test_phase_offset_counts_modulo_pi(self):
         """phi and phi + pi give the same parity-blocked rho (e^{i pi n} is
         constant on a block), as when eigh flips the sign of the stretched
-        axis; shifting any one of the three states leaves the QFI alone."""
+        axis; shifting either +-h state by a multiple of pi leaves the QFI
+        alone, and the diagonal centre's phase does not enter at all."""
         h = 1e-4
         fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, 0.3 + 0.4 * g, 0.7 + 0.5 * g)
-        trio = [gaussian_to_fock(fam(g), 200) for g in (-h, 0.0, h)]
+        trio = _centred([fam(g) for g in (-h, 0.0, h)], 200)
         q = qfi_fock(*trio, h)
-        for k, shift in ((0, math.pi), (1, -3 * math.pi), (2, -math.pi)):
+        for k, shift in ((0, math.pi), (1, 0.9), (2, -math.pi), (2, -3 * math.pi)):
             shifted = list(trio)
             shifted[k] = replace(trio[k], phi=trio[k].phi + shift)
             assert qfi_fock(*shifted, h) == pytest.approx(q, rel=1e-10)
 
     def test_one_workspace_per_call(self):
-        """A call allocates one workspace of seven even-block slots and no
+        """A call allocates one workspace of five even-block slots and no
         other array of the block size, so its peak traced memory stays
-        below eight slots whatever the number of steps it runs."""
+        below six slots whatever the number of steps it runs."""
         import tracemalloc
         h = 1e-4
         fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, 0.3 + 0.4 * g, 0.7 + 0.5 * g)
-        trio = [gaussian_to_fock(fam(g), 400) for g in (-h, 0.0, h)]
+        trio = _centred([fam(g) for g in (-h, 0.0, h)], 400)
         slot = 8 * len(trio[1].blocks[0]) ** 2
         tracemalloc.start()
         try:
@@ -279,7 +333,7 @@ class TestQfiFock:
         finally:
             tracemalloc.stop()
         assert q > 0.0
-        assert 7 * slot <= peak < 8 * slot, peak / slot
+        assert 5 * slot <= peak < 6 * slot, peak / slot
 
     def test_truncation_mismatch_rejected(self):
         a = gaussian_to_fock(1.2 * np.eye(2), 60)
@@ -293,9 +347,10 @@ class TestQfiFock:
         n_max comes from the state at g."""
         import omfisher.oracle as oracle
         calls, n_maxes = [], []
-        fock = oracle.gaussian_to_fock
-        monkeypatch.setattr(oracle, "gaussian_to_fock",
-                            lambda s, n: n_maxes.append(n) or fock(s, n))
+        fock = oracle.qfi_fock
+        monkeypatch.setattr(oracle, "qfi_fock",
+                            lambda *args: n_maxes.append([st.n_max for st in args[:3]])
+                            or fock(*args))
 
         def fam(g):
             calls.append(g)
@@ -304,8 +359,8 @@ class TestQfiFock:
         h = 0.5
         q, _ = qfi_fock_converged(fam, 0.0, h)
         assert calls == [-h, 0.0, h]
-        # nu = 5 at g; the mean of the +-h states has nu = 5.5 and takes 220
-        assert n_maxes == [200] * 3 + [220] * 3
+        # nu = 5 at g sets 200; the +-h states, at nu = 5.5, would take 220
+        assert n_maxes == [[200] * 3, [220] * 3]
         assert q == 0.0
 
     def test_truncation_stability_guard(self):
