@@ -3,12 +3,9 @@ quantum/classical Fisher information of coupling-strength estimation."""
 
 from .params import (SystemParams, SteadyState, BistabilityWindow, rossi_params,
                      steady_state, bistability_window)
-from .kernels import kernel_closed, kernel_dr_numeric
 from .dynamics import (DriftMatrix, DiffusionMatrix, CovarianceMatrix4,
-                       drift_matrix, diffusion_matrix, stationary_covariance,
-                       transient_covariance)
-from .output import (MeasurementSpec, output_covariance, output_covariance_numeric,
-                     homodyne_pdf)
+                       drift_matrix, diffusion_matrix, stationary_covariance)
+from .output import MeasurementSpec, output_covariance
 from .fisher import FisherReport, qfi_gaussian, cfi_bhd, theta_max
 from .pipeline import PipelineSettings, cavity_covariance, fisher_report
 

@@ -84,11 +84,8 @@ def _cmd_validate(args) -> int:
 def _cmd_steady_state(args) -> int:
     cfg = load_config(args.config)
     params, meas = cfg.materialize()
-    settings = cfg.settings()
-    ss = steady_state(params, branch=settings.branch,
-                      epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
-    win = bistability_window(params,
-                             epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
+    ss = steady_state(params, branch=cfg.settings().branch)
+    win = bistability_window(params)
     print(f"photon number |alpha|^2   = {ss.alpha_abs2:.10e}")
     print(f"amplitude alpha           = {ss.alpha:.10e}")
     print(f"effective detuning [rad/s]= {ss.delta_eff:.10e}")

@@ -263,7 +263,7 @@ _SWITCH_CHOICES = {
     "branch": ("lower", "upper", ""),  # empty: no branch policy
 }
 # the PipelineSettings fields a config sets; the sweep metadata records them
-SWITCHES = ("epsilon_uses_total_kappa", *_SWITCH_CHOICES)
+SWITCHES = tuple(_SWITCH_CHOICES)
 
 
 def _parse_switches(cfg: RunConfig, section) -> RunConfig:
@@ -276,9 +276,6 @@ def _parse_switches(cfg: RunConfig, section) -> RunConfig:
                                   f"of {choices}")
     if "branch" in updates:
         updates["branch"] = updates["branch"] or None
-    if "epsilon_uses_total_kappa" in section:
-        updates["epsilon_uses_total_kappa"] = _read(section, "epsilon_uses_total_kappa",
-                                                    "getboolean")
     return replace(cfg, pipeline=replace(cfg.pipeline, **updates))
 
 

@@ -111,16 +111,20 @@ def gaussian_to_fock(sigma: np.ndarray, n_max: int) -> FockState:
     return _fock_state(*_symplectic_factor(sigma), n_max)
 
 
-def _fock_state(nu: float, r: float, phi: float, n_max: int) -> FockState:
-    """e^{i phi n} exp(r K0) rho_th(nu) (...)^H: the thermal state with mean
-    occupation nu - 1/2 gives the weights, the squeeze the parity blocks."""
+def _thermal_weights(nu: float, n_max: int) -> np.ndarray:
+    """Photon-number weights 0..n_max of the thermal state with mean
+    occupation nu - 1/2."""
     nbar = nu - 0.5
     if nbar <= 0.0:
-        weights = np.zeros(n_max + 1)
-        weights[0] = 1.0
-    else:
-        weights = np.exp(np.arange(n_max + 1) * math.log(nbar / (nbar + 1.0))
-                         - math.log(nbar + 1.0))
+        return (np.arange(n_max + 1) == 0).astype(float)
+    return np.exp(np.arange(n_max + 1) * math.log(nbar / (nbar + 1.0))
+                  - math.log(nbar + 1.0))
+
+
+def _fock_state(nu: float, r: float, phi: float, n_max: int) -> FockState:
+    """e^{i phi n} exp(r K0) rho_th(nu) (...)^H: the thermal state gives the
+    weights, the squeeze the parity blocks."""
+    weights = _thermal_weights(nu, n_max)
     blocks = tuple(_squeeze_block(parity, len(range(parity, n_max + 1, 2)), r)
                    for parity in (0, 1))
     trace = sum(float(np.sum((s * s) @ weights[parity::2]))
@@ -169,14 +173,14 @@ def _squeeze_block(parity: int, size: int, r: float) -> np.ndarray:
     return out
 
 
-def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> float:
-    """QFI at ``centre`` from the operator SLD definition, with
-    d rho = (rho(plus) - rho(minus)) / 2h.
+def qfi_fock(minus: FockState, weights: np.ndarray, plus: FockState, h: float) -> float:
+    """QFI at the centre state diag(weights), diagonal in the number basis
+    (the thermal centre of _centred's frame), from the operator SLD
+    definition, with d rho = (rho(plus) - rho(minus)) / 2h.
 
-    The centre must be diagonal in the number basis (as _centred builds it):
-    the sum runs over photon numbers, one parity block at a time, with its
-    weights alone.  Only the phase difference dphi of the other two states
-    enters it: rho(g - h) = T- T-^T with T- = S- p-^(1/2) real, and
+    The sum runs over photon numbers, one parity block at a time, with the
+    centre's weights alone.  Only the phase difference dphi of the other two
+    states enters it: rho(g - h) = T- T-^T with T- = S- p-^(1/2) real, and
     rho(g + h) = T+ T+^H with T+_jk = e^{i dphi (j - k)} S+_jk p+_k^(1/2)
     (j - k is even on a block: phases count modulo pi).  With T0 the mean
     and T' the central difference of the two, d rho = T0 T'^H + T' T0^H
@@ -185,15 +189,12 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
     gaussian_to_fock's are.  Every step works in one buffer of five
     block-sized slots, allocated once per call.
     """
-    states = (minus, centre, plus)
-    n_max = centre.n_max
-    if any(st.n_max != n_max for st in states):
+    n_max = len(weights) - 1
+    if minus.n_max != n_max or plus.n_max != n_max:
         raise DomainError("Fock states must share the truncation")
-    if max(st.trace_deficit for st in states) > 1e-10:
+    centre_deficit = abs(1.0 - float(np.sum(weights)))
+    if max(minus.trace_deficit, centre_deficit, plus.trace_deficit) > 1e-10:
         raise DomainError("trace deficit too large; increase n_max")
-    if centre.weights.shape != (n_max + 1,) or any(np.any(s != np.eye(len(s)))
-                                                   for s in centre.blocks):
-        raise DomainError("the centre state must be diagonal in the number basis")
     shapes = [(len(range(parity, n_max + 1, 2)),) * 2 for parity in (0, 1)]
     for st in (minus, plus):
         if st.weights.shape != (n_max + 1,) or [b.shape for b in st.blocks] != shapes:
@@ -234,18 +235,20 @@ def qfi_fock(minus: FockState, centre: FockState, plus: FockState, h: float) -> 
         ap *= ap
         bp *= bp
         ap += bp
-        p = centre.weights[parity::2]
+        p = weights[parity::2]
         mask = np.add.outer(p, p, out=x) > _SLD_EPS
         total += 2.0 * float(np.sum(np.divide(ap, x, out=ap, where=mask),
                                     where=mask))
     return total
 
 
-def _centred(sigmas, n_max: int) -> tuple[FockState, FockState, FockState]:
+def _centred(sigmas) -> tuple[float, tuple, tuple]:
     """The states of (sigma(g - h), sigma(g), sigma(g + h)) mapped through
     M^-1, sigma(g) = nu M M^T (on states U^H . U, U = e^{i phi n} exp(r K0),
     which keeps the QFI): the centre is thermal, and a +-h state of factor
-    M+- keeps the O(h) r' and phi' of M^-1 M+- = R(phi') diag(e^r', e^-r') R."""
+    M+- keeps the O(h) r' and phi' of M^-1 M+- = R(phi') diag(e^r', e^-r') R.
+    Returns nu and the (nu+-, r', phi') that _fock_state takes for each +-h
+    state; none depends on the truncation."""
     rot = lambda t: np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
     nu, r, phi = _symplectic_factor(sigmas[1])
     m_inv = np.array([[math.exp(-r)], [math.exp(r)]]) * rot(-phi)
@@ -253,9 +256,8 @@ def _centred(sigmas, n_max: int) -> tuple[FockState, FockState, FockState]:
     for sigma in (sigmas[0], sigmas[2]):
         nu_s, r_s, phi_s = _symplectic_factor(sigma)
         u, sv, _ = np.linalg.svd(m_inv @ (rot(phi_s) * [math.exp(r_s), math.exp(-r_s)]))
-        states.append(_fock_state(nu_s, 0.5 * math.log(sv[0] / sv[1]),
-                                  math.atan2(u[1, 0], u[0, 0]), n_max))
-    return states[0], _fock_state(nu, 0.0, 0.0, n_max), states[1]
+        states.append((nu_s, 0.5 * math.log(sv[0] / sv[1]), math.atan2(u[1, 0], u[0, 0])))
+    return nu, states[0], states[1]
 
 
 def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,
@@ -269,9 +271,11 @@ def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,
     _FOCK_RTOL.
     """
     sigmas = [np.asarray(sigma_of_g(x), dtype=float) for x in (g - h, g, g + h)]
+    nu, minus, plus = _centred(sigmas)
     if n_max is None:
-        n_max = default_n_max(math.sqrt(np.linalg.det(sigmas[1])))
-    vals = [qfi_fock(*_centred(sigmas, n), h) for n in (n_max, n_max + 20)]
+        n_max = default_n_max(nu)
+    vals = [qfi_fock(_fock_state(*minus, n), _thermal_weights(nu, n),
+                     _fock_state(*plus, n), h) for n in (n_max, n_max + 20)]
     drift = abs(vals[1] - vals[0]) / max(abs(vals[1]), 1e-300)
     if drift > _FOCK_RTOL:
         raise ConvergenceError(

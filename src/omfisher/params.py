@@ -140,14 +140,14 @@ def rossi_params(**overrides) -> SystemParams:
     return SystemParams(**defaults)
 
 
-def drive_amplitude(params: SystemParams, use_total_kappa: bool = False) -> float:
-    """|eps| = sqrt(2 kappa_in P / (hbar omega_L)).
+def drive_amplitude(params: SystemParams) -> float:
+    """|eps| = sqrt(2 kappa_in P / (hbar omega_L)), the input-output drive
+    through the input port (Gardiner & Collett, PRA 31, 3761 (1985)).
 
-    ``use_total_kappa`` substitutes the total decay rate for kappa_in (the
-    alternative convention some treatments use in the power formulas).
+    A treatment that puts the total kappa in place of kappa_in is this
+    formula at the power P kappa / kappa_in.
     """
-    kappa_eps = params.kappa if use_total_kappa else params.kappa_in
-    return math.sqrt(2.0 * kappa_eps * params.power / (HBAR * params.omega_laser))
+    return math.sqrt(2.0 * params.kappa_in * params.power / (HBAR * params.omega_laser))
 
 
 def _photon_cubic_roots(params: SystemParams, eps: float) -> list[float]:
@@ -206,23 +206,22 @@ def _photon_cubic_roots(params: SystemParams, eps: float) -> list[float]:
     return [a_lin * x for x in distinct]
 
 
-def steady_state(params: SystemParams, branch: str | None = None,
-                 epsilon_uses_total_kappa: bool = False) -> SteadyState:
+def steady_state(params: SystemParams, branch: str | None = None) -> SteadyState:
     """Solve the driven-cavity stationary condition.
 
     ``branch`` selects 'lower' or 'upper' photon-number branch inside a
     bistable window; with three distinct roots and no branch policy an
     AmbiguousBranchError is raised naming both stable branches.
     """
-    eps = drive_amplitude(params, epsilon_uses_total_kappa)
+    if branch not in (None, "lower", "upper"):
+        raise DomainError(f"unknown branch policy {branch!r}")
+    eps = drive_amplitude(params)
     roots = _photon_cubic_roots(params, eps)
     branch_count = len(roots)
 
     if branch_count == 1:
         a_sel = roots[0]
     elif branch is not None:
-        if branch not in ("lower", "upper"):
-            raise DomainError(f"unknown branch policy {branch!r}")
         a_sel = roots[0] if branch == "lower" else roots[-1]
     elif branch_count >= 3:
         raise AmbiguousBranchError(
@@ -246,14 +245,13 @@ def steady_state(params: SystemParams, branch: str | None = None,
                        epsilon=eps, branch_count=branch_count, residual=residual)
 
 
-def bistability_window(params: SystemParams,
-                       epsilon_uses_total_kappa: bool = False) -> BistabilityWindow:
+def bistability_window(params: SystemParams) -> BistabilityWindow:
     """Power window with three steady-state branches.
 
     Boundaries are the cubic's turning-point powers,
 
         P+- = m omega_L omega_m^2 [2 delta0 (4 delta0^2 + 9 kappa^2)
-               +- sqrt((4 delta0^2 - 3 kappa^2)^3)] / (216 g_si^2 kappa_eps).
+               +- sqrt((4 delta0^2 - 3 kappa^2)^3)] / (216 g_si^2 kappa_in).
 
     A window exists only for delta0 > sqrt(3) kappa / 2 (positive detuning
     strong enough that the radiation-pressure shift sweeps the cavity
@@ -266,9 +264,8 @@ def bistability_window(params: SystemParams,
     s2 = 4.0 * d0 ** 2 - 3.0 * kappa ** 2
     if s2 < 0.0:
         return BistabilityWindow(None, None, True)
-    kappa_eps = kappa if epsilon_uses_total_kappa else params.kappa_in
     pref = params.mass * params.omega_laser * params.omega_m ** 2 / (
-        216.0 * params.g_si ** 2 * kappa_eps)
+        216.0 * params.g_si ** 2 * params.kappa_in)
     s3 = s2 ** 1.5
     core = 2.0 * d0 * (4.0 * d0 ** 2 + 9.0 * kappa ** 2)
     p_minus = pref * (core - s3)

@@ -51,7 +51,6 @@ class PipelineSettings:
     accepts no other value: ``cavity_dsigma_opt`` raises DomainError for
     any other."""
 
-    epsilon_uses_total_kappa: bool = False
     kappa_meas_mode: str = "kappa_total"  # or "kappa_in"
     branch: str | None = None
     # not a setting: perfbench/checks.py:184, 206 and 211 read and replace
@@ -92,8 +91,7 @@ def build_measurement(params: SystemParams, omega_k: float = 0.0,
 def cavity_covariance(params: SystemParams,
                       settings: PipelineSettings = PipelineSettings()) -> CavityState:
     """Steady state, drift, diffusion and stationary covariance at one point."""
-    ss = steady_state(params, branch=settings.branch,
-                      epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
+    ss = steady_state(params, branch=settings.branch)
     a = drift_matrix(params, ss)
     d = diffusion_matrix(params, a)
     cov = stationary_covariance(a, d)

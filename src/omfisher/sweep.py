@@ -66,8 +66,7 @@ def run_sweep(cfg: RunConfig):
 
     base_params, base_meas = cfg.materialize()
     try:
-        base_ss = steady_state(base_params, branch=settings.branch,
-                               epsilon_uses_total_kappa=settings.epsilon_uses_total_kappa)
+        base_ss = steady_state(base_params, branch=settings.branch)
     except AmbiguousBranchError as exc:
         raise ConfigError(
             f"baseline power {base_params.power:.6e} W lies in the bistable window "

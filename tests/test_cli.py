@@ -1,5 +1,6 @@
 """Configuration, sweep and CLI surface tests."""
 
+import ast
 import json
 import math
 import os
@@ -106,6 +107,8 @@ class TestConfig:
                 ("switches", "cfi_convention = printed_ideal",
                  "unknown \\[switches\\] keys"),
                 ("switches", "vacuum_mode = printed_sinc",
+                 "unknown \\[switches\\] keys"),
+                ("switches", "epsilon_uses_total_kappa = yes",
                  "unknown \\[switches\\] keys")):
             path.write_text(f"[{section}]\n{text}\n")
             with pytest.raises(ConfigError, match=message):
@@ -124,11 +127,10 @@ class TestConfig:
 
     def test_switches_fill_settings(self, tmp_path):
         path = tmp_path / "switches.cfg"
-        path.write_text("[switches]\nepsilon_uses_total_kappa = yes\n"
-                        "kappa_meas_mode = kappa_in\nbranch = upper\n")
+        path.write_text("[switches]\nkappa_meas_mode = kappa_in\nbranch = upper\n")
         cfg = load_config(str(path))
-        assert cfg.settings() == PipelineSettings(
-            epsilon_uses_total_kappa=True, kappa_meas_mode="kappa_in", branch="upper")
+        assert cfg.settings() == PipelineSettings(kappa_meas_mode="kappa_in",
+                                                  branch="upper")
         # the vacuum term is a constant, not a setting
         assert "vacuum_mode" not in {f.name for f in fields(PipelineSettings)}
 
@@ -433,8 +435,6 @@ class TestCli:
         pytest.param("switches", "derivative_method = spectral", "derivative_method",
                      id="derivative_method = spectral"),
         pytest.param("switches", "branch = sideways", "branch", id="branch = sideways"),
-        pytest.param("switches", "epsilon_uses_total_kappa = maybe",
-                     "epsilon_uses_total_kappa", id="epsilon_uses_total_kappa = maybe"),
         pytest.param("system", "temperature_k = warm", "temperature_k",
                      id="temperature_k = warm"),
         pytest.param("measurement", "theta = diagonal", "theta", id="theta = diagonal"),
@@ -564,3 +564,38 @@ def test_production_path_does_not_import_scipy_integrate(tmp_path):
         assert scipy_modules == [], (name, out)
         if name != "imports":  # it imports validate itself
             assert oracles == [], (name, out)
+
+
+def test_only_the_validate_command_imports_the_oracles():
+    """No library module other than the oracles themselves imports
+    omfisher.oracle or omfisher.validate, relatively or absolutely, at
+    module level or inside a function; the one allowed site is the CLI's
+    validate command.  Unlike the fresh-process test above, this sees the
+    imports of functions that no production path runs."""
+    oracles = {"omfisher.oracle", "omfisher.validate"}
+    sites = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "omfisher")
+                       .glob("*.py")):
+        if path.stem in ("oracle", "validate"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:  # relative to the omfisher package
+                    base = "omfisher" + ("." + base if base else "")
+                targets = {base} | {f"{base}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            if not any(t == m or t.startswith(m + ".") for t in targets for m in oracles):
+                continue
+            scope = node
+            while scope in parents and not isinstance(
+                    scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents[scope]
+            sites.append((path.stem, getattr(scope, "name", None)))
+    assert sites == [("cli", "_cmd_validate")]

@@ -8,9 +8,10 @@ import pytest
 from scipy.linalg import expm
 
 from omfisher.errors import DomainError, NumericalError, UnphysicalStateError
-from omfisher.oracle import (FockState, _centred, _k0_spectrum, _squeeze_block,
-                             _symplectic_factor, cfi_numeric, default_n_max,
-                             gaussian_to_fock, qfi_fock, qfi_fock_converged)
+from omfisher.oracle import (FockState, _centred, _fock_state, _k0_spectrum,
+                             _squeeze_block, _symplectic_factor, _thermal_weights,
+                             cfi_numeric, default_n_max, gaussian_to_fock, qfi_fock,
+                             qfi_fock_converged)
 
 
 def _ladder(n_max: int) -> np.ndarray:
@@ -68,6 +69,19 @@ def _dense_fock(sigma, n_max):
         diag = nbar ** ns / (nbar + 1.0) ** (ns + 1)
     u = _dense_unitary(r, phi, n_max)
     return u @ np.diag(diag) @ u.conj().T
+
+
+def _centred_trio(sigmas, n_max):
+    """qfi_fock's arguments for (sigma(g - h), sigma(g), sigma(g + h)) in the
+    centre's frame at truncation n_max: the -h state, the centre's weights
+    and the +h state."""
+    nu, minus, plus = _centred(sigmas)
+    return _fock_state(*minus, n_max), _thermal_weights(nu, n_max), _fock_state(*plus, n_max)
+
+
+def _trio_rhos(trio):
+    """The dense density matrices of a (FockState, weights, FockState) trio."""
+    return trio[0].rho, np.diag(trio[1]), trio[2].rho
 
 
 def _dense_sld_sum(rho_minus, rho_centre, rho_plus, h):
@@ -203,13 +217,12 @@ class TestCentredFrame:
         n_max, h = 200, 0.05
         fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, r0 + 0.4 * g, 0.7 + 0.5 * g)
         sigmas = [fam(g) for g in (-h, 0.0, h)]
-        trio = _centred(sigmas, n_max)
-        assert not any(np.any(s - np.eye(len(s))) for s in trio[1].blocks)
+        rhos = _trio_rhos(_centred_trio(sigmas, n_max))
         _, r_c, phi_c = _symplectic_factor(sigmas[1])
         for phi in (phi_c, phi_c + math.pi):
             u = _dense_unitary(r_c, phi, n_max)
-            for st, sigma in zip(trio, sigmas):
-                back = u @ st.rho @ u.conj().T
+            for rho, sigma in zip(rhos, sigmas):
+                back = u @ rho @ u.conj().T
                 err = np.max(np.abs(back - gaussian_to_fock(sigma, n_max).rho))
                 assert err < 1e-10, (r0, phi, err)
 
@@ -217,7 +230,7 @@ class TestCentredFrame:
 class TestQfiFock:
     def test_zero_derivative(self):
         st = gaussian_to_fock(1.2 * np.eye(2), 60)
-        assert qfi_fock(st, st, st, 1e-3) == 0.0
+        assert qfi_fock(st, st.weights, st, 1e-3) == 0.0
 
     def test_thermal_matches_exact_closed_form(self):
         """Commuting thermal family: QFI = classical FI of the eigenvalues,
@@ -251,19 +264,21 @@ class TestQfiFock:
             dnu = 0.0 if nu == 0.5 else 0.3
             fam = lambda g: _squeezed_thermal(nu + dnu * g, r + 0.4 * g,
                                               phi + 0.5 * g)
-            trio = _centred([fam(g) for g in (-h, 0.0, h)], n_max)
-            if max(st.trace_deficit for st in trio) > 1e-10:
+            trio = _centred_trio([fam(g) for g in (-h, 0.0, h)], n_max)
+            deficits = (trio[0].trace_deficit, abs(1.0 - np.sum(trio[1])),
+                        trio[2].trace_deficit)
+            if max(deficits) > 1e-10:
                 with pytest.raises(DomainError):
                     qfi_fock(*trio, h)
                 continue
-            full = _dense_sld_sum(*(st.rho for st in trio), h)
+            full = _dense_sld_sum(*_trio_rhos(trio), h)
             assert qfi_fock(*trio, h) == pytest.approx(full, rel=1e-10, abs=1e-14)
             compared += full > 0.0
         assert compared >= 20
         # one-state odd block carrying part of the derivative
         two = [FockState(1, 0.0, np.array([1.0 - q, q]), (np.eye(1), np.eye(1)), 0.0)
                for q in (0.3 - h, 0.3, 0.3 + h)]
-        assert qfi_fock(*two, h) == pytest.approx(
+        assert qfi_fock(two[0], two[1].weights, two[2], h) == pytest.approx(
             _dense_sld_sum(*(st.rho for st in two), h), rel=1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, -2.1])
@@ -287,32 +302,25 @@ class TestQfiFock:
     def test_parity_mixing_rejected(self):
         """A factored state keeps the even and the odd photon numbers in
         separate blocks, so a coherence between them cannot be written as
-        one; a +-h record whose blocks do not split that way is rejected,
-        and so is a centre that is not diagonal in the number basis."""
+        one; a +-h record whose blocks do not split that way is rejected."""
         # |+><+|, |+> = (|0> + |1>)/sqrt 2, as one block over both parities
         mixing = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         coherent = FockState(1, 0.0, np.array([1.0, 0.0]), (mixing, np.eye(0)), 0.0)
         vacuum = gaussian_to_fock(0.5 * np.eye(2), 1)
-        for trio in ((coherent, vacuum, vacuum), (vacuum, vacuum, coherent)):
+        for minus, plus in ((coherent, vacuum), (vacuum, coherent)):
             with pytest.raises(DomainError, match="even and odd"):
-                qfi_fock(*trio, 1e-3)
-        with pytest.raises(DomainError, match="diagonal"):
-            qfi_fock(vacuum, coherent, vacuum, 1e-3)
-        squeezed = gaussian_to_fock(_squeezed_thermal(1.3, 0.2, 0.0), 40)
-        thermal = gaussian_to_fock(1.3 * np.eye(2), 40)
-        with pytest.raises(DomainError, match="diagonal"):
-            qfi_fock(thermal, squeezed, thermal, 1e-3)
+                qfi_fock(minus, vacuum.weights, plus, 1e-3)
 
     def test_phase_offset_counts_modulo_pi(self):
         """phi and phi + pi give the same parity-blocked rho (e^{i pi n} is
         constant on a block), as when eigh flips the sign of the stretched
         axis; shifting either +-h state by a multiple of pi leaves the QFI
-        alone, and the diagonal centre's phase does not enter at all."""
+        alone."""
         h = 1e-4
         fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, 0.3 + 0.4 * g, 0.7 + 0.5 * g)
-        trio = _centred([fam(g) for g in (-h, 0.0, h)], 200)
+        trio = _centred_trio([fam(g) for g in (-h, 0.0, h)], 200)
         q = qfi_fock(*trio, h)
-        for k, shift in ((0, math.pi), (1, 0.9), (2, -math.pi), (2, -3 * math.pi)):
+        for k, shift in ((0, math.pi), (2, -math.pi), (2, -3 * math.pi)):
             shifted = list(trio)
             shifted[k] = replace(trio[k], phi=trio[k].phi + shift)
             assert qfi_fock(*shifted, h) == pytest.approx(q, rel=1e-10)
@@ -324,8 +332,8 @@ class TestQfiFock:
         import tracemalloc
         h = 1e-4
         fam = lambda g: _squeezed_thermal(4.0 + 0.3 * g, 0.3 + 0.4 * g, 0.7 + 0.5 * g)
-        trio = _centred([fam(g) for g in (-h, 0.0, h)], 400)
-        slot = 8 * len(trio[1].blocks[0]) ** 2
+        trio = _centred_trio([fam(g) for g in (-h, 0.0, h)], 400)
+        slot = 8 * len(trio[0].blocks[0]) ** 2
         tracemalloc.start()
         try:
             q = qfi_fock(*trio, h)
@@ -338,9 +346,9 @@ class TestQfiFock:
     def test_truncation_mismatch_rejected(self):
         a = gaussian_to_fock(1.2 * np.eye(2), 60)
         b = gaussian_to_fock(1.2 * np.eye(2), 80)
-        for trio in ((a, b, b), (b, a, b), (b, b, a)):
-            with pytest.raises(DomainError):
-                qfi_fock(*trio, 1e-3)
+        for minus, centre, plus in ((a, b, b), (b, a, b), (b, b, a)):
+            with pytest.raises(DomainError, match="share the truncation"):
+                qfi_fock(minus, centre.weights, plus, 1e-3)
 
     def test_centre_sets_truncation(self, monkeypatch):
         """sigma_of_g is evaluated at g - h, g and g + h, and the default
@@ -349,8 +357,9 @@ class TestQfiFock:
         calls, n_maxes = [], []
         fock = oracle.qfi_fock
         monkeypatch.setattr(oracle, "qfi_fock",
-                            lambda *args: n_maxes.append([st.n_max for st in args[:3]])
-                            or fock(*args))
+                            lambda minus, weights, plus, h:
+                            n_maxes.append([minus.n_max, len(weights) - 1, plus.n_max])
+                            or fock(minus, weights, plus, h))
 
         def fam(g):
             calls.append(g)
@@ -362,6 +371,13 @@ class TestQfiFock:
         # nu = 5 at g sets 200; the +-h states, at nu = 5.5, would take 220
         assert n_maxes == [[200] * 3, [220] * 3]
         assert q == 0.0
+
+    @pytest.mark.parametrize("d", [-1.0, 0.1], ids=["det<0", "det<1/4"])
+    def test_unphysical_family_rejected(self, d):
+        """A centre that is not a state is rejected as such before the
+        default truncation is taken from its nu = sqrt(det)."""
+        with pytest.raises(UnphysicalStateError):
+            qfi_fock_converged(lambda g: np.diag([1.0 + g, d]), 0.0, 1e-3)
 
     def test_truncation_stability_guard(self):
         fam = lambda g: (1.5 + g) * np.eye(2)

@@ -127,6 +127,10 @@ class TestSteadyState:
         hi = steady_state(p.with_(power=p_mid), branch="upper")
         assert lo.alpha_abs2 < hi.alpha_abs2
         assert lo.branch_count == 3
+        # an unknown policy is rejected inside the window and outside it
+        for power in (p_mid, 0.5 * win.p_minus):
+            with pytest.raises(DomainError, match="unknown branch policy"):
+                steady_state(p.with_(power=power), branch="middle")
 
     @given(st.floats(min_value=0.02, max_value=0.9))
     @settings(max_examples=20, deadline=None)
@@ -137,14 +141,16 @@ class TestSteadyState:
         assert ss.branch_count == 1
 
     def test_epsilon_conventions(self):
+        """With kappa_in = kappa_loss a drive written with the total kappa is
+        the input-port drive at twice the power: sqrt 2 times |eps|, and
+        twice |alpha|^2 up to the (tiny) radiation-pressure nonlinearity."""
         p = rossi_params()
-        assert drive_amplitude(p, use_total_kappa=True) == \
+        assert p.kappa_in == p.kappa_loss
+        p2 = p.with_(power=2.0 * p.power)
+        assert drive_amplitude(p2) == \
             pytest.approx(math.sqrt(2.0) * drive_amplitude(p), rel=1e-15)
-        # with equal input/loss rates the alternative convention doubles
-        # |alpha|^2 up to the (tiny) radiation-pressure nonlinearity
-        ss_in = steady_state(p)
-        ss_tot = steady_state(p, epsilon_uses_total_kappa=True)
-        assert ss_tot.alpha_abs2 == pytest.approx(2.0 * ss_in.alpha_abs2, rel=1e-4)
+        assert steady_state(p2).alpha_abs2 == \
+            pytest.approx(2.0 * steady_state(p).alpha_abs2, rel=1e-4)
 
 
 class TestBistabilityWindow:
