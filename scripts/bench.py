@@ -15,8 +15,8 @@ timed with time.perf_counter in this one process:
 - oracle stages, max(1, N // 40) calls each after one warm-up call:
   qfi_fock_converged (n_max = 1000, then 1020) on validate's thermal
   (nu = 25) and squeezed-thermal (nu = 25, r = 0.15) families with
-  validate's steps, and the frequency-domain Brownian diffusion at the
-  baseline point;
+  validate's steps, and the frequency-domain Brownian diffusion and the
+  transient covariance at the baseline point;
 - end-to-end cases: the fig1, fig2, fig4a and fig5 preset sweeps and one
   full validate(), each max(1, N // 40) times;
 - the import case: max(1, N // 40) fresh processes, each importing
@@ -82,7 +82,8 @@ def _squeezed_thermal(g: float) -> np.ndarray:
 
 def _stages(n: int) -> dict:
     from omfisher.dynamics import (brownian_diffusion_freq, diffusion_matrix,
-                                   drift_matrix, stationary_covariance)
+                                   drift_matrix, stationary_covariance,
+                                   transient_covariance)
     from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
     from omfisher.oracle import qfi_fock_converged, richardson_dsigma_opt
     from omfisher.output import output_covariance, output_map
@@ -145,6 +146,8 @@ def _stages(n: int) -> dict:
             (lambda _: qfi_fock_converged(_squeezed_thermal, 0.0, 1e-4), None),
         "brownian_diffusion_freq": (lambda a: brownian_diffusion_freq(p, a),
                                     decomposed_drift),
+        "transient_covariance": (lambda a: transient_covariance(p, a, d),
+                                 decomposed_drift),
     }
     return {name: _summary(_time(body, setup or (lambda: None), reps), 1e3)
             for group, reps in ((cases, n), (oracle_cases, max(1, n // 40)))
@@ -204,10 +207,8 @@ def measure(repeat: int) -> dict:
     """One run's record: environment, stage and end-to-end timings and the
     import case."""
     from omfisher import __version__
-    from omfisher.pipeline import PipelineSettings
     return {
         "omfisher": __version__,
-        "derivative_method_default": PipelineSettings().derivative_method,
         "environment": _environment(),
         "stages_ms": _stages(repeat),
         "end_to_end_s": _end_to_end(max(1, repeat // 40)),

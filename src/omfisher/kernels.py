@@ -7,8 +7,10 @@ The symmetric kernel D_R, the one the Brownian diffusion integrates, is
 
 with the exponential-cutoff ohmic density J(w) = (2 m gamma / pi) w e^(-w/W).
 Its closed form involves the complex trigamma function at
-z = (1 - i W tau) kB T / (hbar W), and is cross-validated against adaptive
-quadrature of the defining integral.
+z = (1 - i W tau) kB T / (hbar W).  No pipeline stage evaluates it: the
+diffusion uses the kernel's Laplace transform (dynamics.brownian_laplace),
+and validate's kernel suite and acceptance criterion 3 check the closed
+form against adaptive quadrature of the defining integral.
 """
 
 from __future__ import annotations

@@ -39,9 +39,8 @@ def test_runs_merge_into_one_file(bench, tmp_path):
     assert set(record["runs"]) == {"parent", "change"}
     for label, n in (("parent", 3), ("change", 2)):
         run = record["runs"][label]
-        assert set(run) == {"omfisher", "derivative_method_default", "environment",
-                            "stages_ms", "end_to_end_s", "import"}
-        assert run["derivative_method_default"] == "derivative-lyapunov"
+        assert set(run) == {"omfisher", "environment", "stages_ms", "end_to_end_s",
+                            "import"}
         env = run["environment"]
         for key in ("python", "numpy", "scipy", "blas", "cpu_count",
                     "openblas_num_threads", "machine", "processor"):
@@ -57,7 +56,7 @@ def test_runs_merge_into_one_file(bench, tmp_path):
             _check_timing(run["stages_ms"][stage], n)
         for stage in ("qfi_fock_converged, thermal family, nu = 25",
                       "qfi_fock_converged, squeezed-thermal family, nu = 25",
-                      "brownian_diffusion_freq"):
+                      "brownian_diffusion_freq", "transient_covariance"):
             _check_timing(run["stages_ms"][stage], 1)
         assert set(run["end_to_end_s"]) == {"fig4a"}
         _check_timing(run["end_to_end_s"]["fig4a"], 1)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from omfisher.constants import TWO_PI
-from omfisher.errors import (DegenerateLyapunovError, QuadratureError,
-                             UnstableDriftError)
+from omfisher.errors import (DegenerateLyapunovError, DomainError,
+                             QuadratureError, UnstableDriftError)
 from omfisher.dynamics import (DriftMatrix, brownian_diffusion_freq,
                                brownian_laplace, diffusion_matrix, drift_matrix,
                                lyapunov_solve, stationary_covariance,
@@ -200,6 +200,18 @@ class TestDiffusionMatrix:
                 diff = (8.0 * (lp - lm) - (lp2 - lm2)) / (12.0 * step)
                 assert np.max(np.abs(diff - dlap) / np.abs(dlap)) < 1e-8
 
+    @pytest.mark.parametrize("re, im", [(0.0, 1.0), (0.0, 0.0), (1e3, 1.0)],
+                             ids=["imaginary", "zero", "right_half_plane"])
+    def test_laplace_outside_its_domain_raises(self, re, im):
+        """At Re lambda >= 0 the transform diverges; the closed form would
+        land across E1's branch cut (i omega_m), on NaN (0) or on the mirror
+        image of the convergent value (1e3 + i omega_m)."""
+        p = rossi_params()
+        lam = np.array([-1e3 + 1j * p.omega_m, re + 1j * im * p.omega_m])
+        with pytest.raises(DomainError, match="Re lambda < 0") as info:
+            brownian_laplace(p, lam)
+        assert repr(complex(lam[1])) in str(info.value)
+
     def test_report_names_diffusion_path(self):
         from omfisher.pipeline import build_measurement, fisher_report
         p = rossi_params()
@@ -316,12 +328,30 @@ class TestLyapunovSolve:
 
 class TestTransientOracle:
     def test_matches_lyapunov(self, rossi_point):
+        """At the baseline drift and on an eigenbasis with cond(V) >= 1e10:
+        the oracle uses the eigenvalues only for its first step."""
         p, _, a, d = rossi_point
-        cov = stationary_covariance(a, d)
-        tc = transient_covariance(p, a, d)
-        rel = np.linalg.norm(tc.matrix_scaled - cov.matrix_scaled) / \
-            np.linalg.norm(cov.matrix_scaled)
-        assert rel < 1e-6
+        near = _near_defective(p, a)
+        assert near.spectrum[3] >= 1e10
+        for drift, diff in ((a, d), (near, diffusion_matrix(p, near))):
+            cov = stationary_covariance(drift, diff)
+            tc = transient_covariance(p, drift, diff)
+            rel = np.linalg.norm(tc.matrix_scaled - cov.matrix_scaled) / \
+                np.linalg.norm(cov.matrix_scaled)
+            assert rel < 1e-6
+
+    def test_never_builds_the_lyapunov_operator(self, rossi_point, monkeypatch):
+        p, _, a, d = rossi_point
+
+        def refuse(self):
+            raise AssertionError("transient oracle built the Kronecker operator")
+
+        monkeypatch.setattr(DriftMatrix, "lyapunov_operator", property(refuse))
+        fresh = DriftMatrix(matrix_scaled=a.matrix_scaled.copy())
+        with pytest.raises(AssertionError):
+            fresh.lyapunov_operator
+        tc = transient_covariance(p, fresh, d)
+        assert np.all(np.isfinite(tc.matrix_scaled))
 
 
 class TestContinuity:

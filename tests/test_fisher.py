@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omfisher.errors import (DerivativeUndefinedError, DomainError,
-                             UnphysicalStateError)
+                             OmfisherError, UnphysicalStateError)
 from omfisher.fisher import cfi_bhd, qfi_gaussian, theta_max
 from omfisher.oracle import dsigma_dg, qfi_fock_converged
 from omfisher.params import rossi_params
-from omfisher.pipeline import PipelineSettings, cavity_dsigma_opt
+from omfisher.pipeline import (PipelineSettings, build_measurement,
+                               cavity_dsigma_opt, fisher_report)
 
 
 # The printed compact QFI expression and its long form: a reference for the
@@ -361,3 +362,55 @@ class TestDsigmaDg:
             settings = PipelineSettings(derivative_method=method)
             with pytest.raises(DomainError, match=f"unknown derivative method '{method}'"):
                 cavity_dsigma_opt(rossi_params(), settings)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+def _or_zero(values):
+    """values, or 0 one time in five."""
+    return st.tuples(st.integers(0, 4), values).map(lambda d: 0.0 if d[0] == 4 else d[1])
+
+
+@st.composite
+def _box_points(draw):
+    """A point of the wide parameter box, in units of the baseline: omega_m
+    0.3-3x, kappa/omega_m 0.05-50, kappa_loss/kappa 0-0.9, delta0/kappa -5
+    to 2, P 1e-10-1e-2 W, T 0 or 1e-6-300 K, W/omega_m 0.1-1000,
+    gamma/omega_m 1e-6-0.5, mass 1e-3-1e3x, g/g0 0 or 0.1-20; Omega_k/kappa
+    -3 to 3, eta 0.01-1 and branch None or lower."""
+    base = rossi_params()
+    omega_m = base.omega_m * draw(_log_uniform(0.3, 3.0))
+    kappa = omega_m * draw(_log_uniform(0.05, 50.0))
+    kappa_loss = kappa * draw(_or_zero(st.floats(0.0, 0.9)))
+    params = base.with_(
+        omega_m=omega_m, kappa_in=kappa - kappa_loss, kappa_loss=kappa_loss,
+        delta0=kappa * draw(st.floats(-5.0, 2.0)),
+        power=draw(_log_uniform(1e-10, 1e-2)),
+        temperature=draw(_or_zero(_log_uniform(1e-6, 300.0))),
+        cutoff=omega_m * draw(_log_uniform(0.1, 1000.0)),
+        gamma=omega_m * draw(_log_uniform(1e-6, 0.5)),
+        mass=base.mass * draw(_log_uniform(1e-3, 1e3)),
+        g_freq=base.g_freq * draw(_or_zero(_log_uniform(0.1, 20.0))))
+    return (params, kappa * draw(st.floats(-3.0, 3.0)), draw(st.floats(0.01, 1.0)),
+            PipelineSettings(branch=draw(st.sampled_from([None, "lower"]))))
+
+
+@given(_box_points())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_invariants_over_parameter_box(point):
+    """Every point either raises an OmfisherError or gives finite figures
+    with CFI <= QFI and a saturation ratio <= 1 (NaN only where QFI = 0)."""
+    params, omega_k, eta, pipeline = point
+    try:
+        spec = build_measurement(params, omega_k, eta=eta, settings=pipeline)
+        rep = fisher_report(params, spec, pipeline, auto_theta=True)
+    except OmfisherError:
+        return
+    assert all(math.isfinite(v) for v in (rep.qfi, rep.cfi, rep.theta, rep.lambda_max))
+    assert 0.0 <= rep.cfi <= rep.qfi * (1.0 + 1e-9)
+    if rep.qfi > 0.0:
+        assert rep.saturation_ratio <= 1.0 + 1e-9
+    else:
+        assert math.isnan(rep.saturation_ratio)
