@@ -26,8 +26,18 @@ __all__ = ["SweepSpec", "RunConfig", "load_config", "apply_preset", "PRESETS",
 
 _BASE = rossi_params()
 
-SWEEP_VARIABLES = ("omega_k", "theta", "eta", "kappa", "gamma", "power", "g",
-                   "temperature", "delta0")
+# sweep variable -> (the RunConfig field it sets, the unit of its preset grid
+# ends: the configured kappa, a RunConfig field, or None for absolute ends).
+# kappa sets kappa_in and kappa_loss, keeping their split; delta0 drops
+# delta0_in_kappa.
+SWEEP_VARIABLES = {
+    "omega_k": ("omega_k", "kappa"), "theta": ("theta", None), "eta": ("eta", None),
+    "kappa": ("kappa_in", "kappa"), "gamma": ("gamma", "gamma"),
+    "power": ("power", None), "g": ("g_freq", "g_freq"),
+    "temperature": ("temperature", None), "delta0": ("delta0", "kappa"),
+}
+# the variables that leave the cavity state alone, so a sweep solves it once
+MEASUREMENT_VARIABLES = ("omega_k", "theta", "eta")
 
 
 @dataclass(frozen=True)
@@ -101,53 +111,37 @@ class RunConfig:
         e.g. a kappa sweep with delta0_in_kappa = -2 keeps delta0 tracking
         the swept kappa.
         """
-        kappa_in, kappa_loss = self.kappa_in, self.kappa_loss
-        gamma, temperature = self.gamma, self.temperature
-        g_freq, power = self.g_freq, self.power
-        delta0_in_kappa, delta0 = self.delta0_in_kappa, self.delta0
-        omega_k, eta, theta = self.omega_k, self.eta, self.theta
-
+        f = dict(vars(self))
         if variable is not None:
-            if variable == "kappa":
-                total = kappa_in + kappa_loss
-                ratio = kappa_in / total
-                kappa_in, kappa_loss = ratio * value, (1.0 - ratio) * value
-            elif variable == "gamma":
-                gamma = value
-            elif variable == "power":
-                power = value
-            elif variable == "g":
-                g_freq = value
-            elif variable == "temperature":
-                temperature = value
-            elif variable == "delta0":
-                delta0, delta0_in_kappa = value, None
-            elif variable == "omega_k":
-                omega_k = value
-            elif variable == "eta":
-                eta = value
-            elif variable == "theta":
-                theta = value
-            else:
+            if variable not in SWEEP_VARIABLES:
                 raise ConfigError(f"unknown sweep variable {variable!r}")
+            if variable == "kappa":
+                ratio = f["kappa_in"] / (f["kappa_in"] + f["kappa_loss"])
+                f["kappa_in"], f["kappa_loss"] = ratio * value, (1.0 - ratio) * value
+            else:
+                f[SWEEP_VARIABLES[variable][0]] = value
+            if variable == "delta0":
+                f["delta0_in_kappa"] = None
 
-        kappa = kappa_in + kappa_loss
-        d0 = delta0 if delta0 is not None else (delta0_in_kappa or 0.0) * kappa
+        kappa = f["kappa_in"] + f["kappa_loss"]
+        d0 = f["delta0"]
+        if d0 is None:
+            d0 = (f["delta0_in_kappa"] or 0.0) * kappa
         cut = self.cutoff if self.cutoff is not None else \
             (self.cutoff_in_omega_m or 0.0) * self.omega_m
         try:
             params = SystemParams(
-                kappa_in=kappa_in, kappa_loss=kappa_loss, gamma=gamma,
-                omega_m=self.omega_m, mass=self.mass, temperature=temperature,
-                g_freq=g_freq, power=power, delta0=d0,
+                kappa_in=f["kappa_in"], kappa_loss=f["kappa_loss"], gamma=f["gamma"],
+                omega_m=self.omega_m, mass=self.mass, temperature=f["temperature"],
+                g_freq=f["g_freq"], power=f["power"], delta0=d0,
                 omega_laser=self.omega_laser, cutoff=cut)
         except DomainError as exc:
             raise ConfigError(f"invalid parameter set: {exc}") from exc
         meas = {
-            "omega_k": omega_k,
+            "omega_k": f["omega_k"],
             "window": self.window if self.window is not None else 1.0 / kappa,
-            "eta": eta,
-            "theta": theta,
+            "eta": f["eta"],
+            "theta": f["theta"],
         }
         return params, meas
 
@@ -248,7 +242,7 @@ def _parse_measurement(cfg: RunConfig, section) -> RunConfig:
 def _parse_sweep(cfg: RunConfig, section) -> RunConfig:
     variable = section.get("variable")
     if variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}")
+        raise ConfigError(f"sweep variable must be one of {tuple(SWEEP_VARIABLES)}")
     spec = SweepSpec(variable=variable,
                      scale=section.get("scale", "linear"),
                      start=_read(section, "start"),
@@ -347,9 +341,8 @@ def _check_sweep_domain(cfg: RunConfig) -> None:
             raise ConfigError(f"[sweep] eta = {end!r} must lie in (0, 1]")
 
 
-# name -> (variable, scale, start, stop, points); the grid ends are in units
-# of the configured kappa (omega_k, delta0, kappa), gamma (gamma) or g (g),
-# and absolute for the other variables
+# name -> (variable, scale, start, stop, points); the grid ends are in the
+# units SWEEP_VARIABLES gives
 PRESETS = {
     "fig1": ("omega_k", "linear", -3.0, 3.0, 121),
     "fig2": ("eta", "linear", 0.05, 1.0, 96),
@@ -367,9 +360,8 @@ def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     variable, scale, start, stop, points = PRESETS[name]
-    kappa = cfg.base_kappa()
-    unit = {"omega_k": kappa, "delta0": kappa, "kappa": kappa, "gamma": cfg.gamma,
-            "g": cfg.g_freq}.get(variable, 1.0)
+    unit = SWEEP_VARIABLES[variable][1]
+    unit = cfg.base_kappa() if unit == "kappa" else getattr(cfg, unit) if unit else 1.0
     cfg = replace(cfg, preset=name,
                   sweep=SweepSpec(variable, scale, start * unit, stop * unit, points))
     # fig3b scans the detuning at the cavity frequency whatever the config sets

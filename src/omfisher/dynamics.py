@@ -20,9 +20,11 @@ eigenbasis, with the Laplace transform L of the kernel in closed form; an
 ill-conditioned eigenbasis falls back to the frequency-domain integral,
 which is also D's oracle.  L rests on e^w E1(w): a power series near the
 origin and the branch cut, the continued fraction of DLMF 6.9.1 elsewhere,
-one argument at a time.  The oracle of the Lyapunov solve given D,
-transient_covariance, integrates from sigma = 0 by Van Loan steps with
-horizon doubling; it needs no eigenbasis and no Kronecker solve.
+one argument at a time.  BERNOULLI_2K gives the Taylor branch of L's
+Matsubara sum, and _w_coth, the kernel's thermal weight, the frequency
+path; the kernel oracle imports both.  The oracle of the Lyapunov solve
+given D, transient_covariance, integrates from sigma = 0 by Van Loan steps
+with horizon doubling; it needs no eigenbasis and no Kronecker solve.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from numpy.polynomial.polynomial import polyder, polyval
 from .constants import HBAR, KB
 from .errors import (DegenerateLyapunovError, DomainError, NumericalError,
                      QuadratureError, UnstableDriftError)
-from .kernels import BERNOULLI_2K, _w_coth
 from .params import SteadyState, SystemParams
 
 __all__ = [
@@ -57,6 +58,12 @@ _E1 = np.array([0.0, 1.0, 0.0, 0.0])
 _MAX_TERMS = 1 << 16
 # relative error budget of the Brownian diffusion
 _DIFFUSION_TOL = 1e-7
+# Bernoulli numbers B_2..B_24 as exact (numerator, denominator) pairs
+BERNOULLI_2K = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730),
+)
 # Taylor coefficients zeta(2k)/pi^(2k) = |B_2k| 2^(2k-1)/(2k)!, k = 1..12, of
 # brownian_laplace's h(y) in y^2, each rounded once from the exact rational
 _H_TAYLOR = np.array([abs(num) * 2 ** (2 * k - 1) / (den * math.factorial(2 * k))
@@ -294,14 +301,14 @@ def brownian_laplace(params: SystemParams, lam):
     n = _matsubara_terms(params)
     nu = math.pi * w_t * np.arange(1, n + 1)
     t = nu * _aux_fg(nu / W, with_g=False)[0].real - W
-    den = nu ** 2 - (a * a)[:, None]
+    den = nu ** 2 - (a * a)[..., None]
     y = a / w_t  # h by its Taylor series below |y| = 1/2, against cancellation
     cot, small = 1.0 / np.tan(y), np.abs(y) < 0.5
     h = np.where(small, polyval(y * y, _H_TAYLOR), (0.5 / y - 0.5 * cot) / y)
     dh = np.where(small, 2.0 * y * polyval(y * y, polyder(_H_TAYLOR)),
                   (0.5 + 0.5 * cot * cot - h) / y - 0.5 / y ** 3)
-    inner = np.sum(t / den, axis=1) + (W - a * f) * h / w_t ** 2
-    dinner = (2.0 * a * np.sum(t / den ** 2, axis=1) + (z * g - f) * h / w_t ** 2
+    inner = np.sum(t / den, axis=-1) + (W - a * f) * h / w_t ** 2
+    dinner = (2.0 * a * np.sum(t / den ** 2, axis=-1) + (z * g - f) * h / w_t ** 2
               + (W - a * f) * dh / w_t ** 3)  # d inner / da
     return (pref * w_t * (f + 2.0 * a * inner),
             pref * w_t * (g / W - 2.0 * inner - 2.0 * a * dinner),
@@ -344,6 +351,19 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix) -> DiffusionMatrix:
 
     return DiffusionMatrix(matrix_scaled=d_scaled, error_estimate=rel_err,
                            path=path, laplace=lap, dlaplace=dlap)
+
+
+def _w_coth(w: float, temperature: float) -> float:
+    """w coth(hbar w / (2 kB T)), the thermal weight of the symmetric
+    kernel; w at T = 0, and its small-x series where the coth form loses
+    accuracy."""
+    if temperature == 0.0:
+        return w
+    x = HBAR * w / (2.0 * KB * temperature)
+    if x < 1e-4:
+        # w * coth(x) -> (2 kB T / hbar)(1 + x^2/3 - x^4/45)
+        return (2.0 * KB * temperature / HBAR) * (1.0 + x * x / 3.0 - x ** 4 / 45.0)
+    return w / math.tanh(x)
 
 
 def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix):

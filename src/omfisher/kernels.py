@@ -1,5 +1,5 @@
-"""Non-Markovian Brownian kernel of the ohmic bath whose mass, damping,
-temperature and cutoff ``SystemParams`` holds.
+"""Oracle of the bath kernel: the non-Markovian Brownian kernel of the ohmic
+bath whose mass, damping, temperature and cutoff ``SystemParams`` holds.
 
 The symmetric kernel D_R, the one the Brownian diffusion integrates, is
 
@@ -7,10 +7,12 @@ The symmetric kernel D_R, the one the Brownian diffusion integrates, is
 
 with the exponential-cutoff ohmic density J(w) = (2 m gamma / pi) w e^(-w/W).
 Its closed form involves the complex trigamma function at
-z = (1 - i W tau) kB T / (hbar W).  No pipeline stage evaluates it: the
-diffusion uses the kernel's Laplace transform (dynamics.brownian_laplace),
+z = (1 - i W tau) kB T / (hbar W).  No production module imports this one:
+the diffusion uses the kernel's Laplace transform (dynamics.brownian_laplace),
 and validate's kernel suite and acceptance criterion 3 check the closed
-form against adaptive quadrature of the defining integral.
+form against adaptive quadrature of the defining integral.  The Bernoulli
+numbers and the thermal weight w coth(hbar w/2kT) it shares with the
+production path live in ``dynamics``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 from .constants import HBAR, KB
+from .dynamics import BERNOULLI_2K, _w_coth
 from .errors import DomainError, QuadratureError
 from .params import SystemParams
 
@@ -32,12 +35,6 @@ __all__ = [
 # error budget of the kernel quadrature, relative to int J coth dw
 _QUAD_TOL = 1e-9
 
-# Bernoulli numbers B_2..B_24 as exact (numerator, denominator) pairs
-BERNOULLI_2K = (
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-    (-236364091, 2730),
-)
 # B_2..B_20, correctly rounded, for the asymptotic tail of trigamma
 _BERNOULLI = tuple(num / den for num, den in BERNOULLI_2K[:10])
 
@@ -108,19 +105,6 @@ def _cutoff_upper(params: SystemParams, tol_abs: float) -> float:
             return upper
         upper *= 1.5
     return upper
-
-
-def _w_coth(w: float, temperature: float) -> float:
-    """w coth(hbar w / (2 kB T)), the thermal weight of the symmetric
-    kernel; w at T = 0, and its small-x series where the coth form loses
-    accuracy."""
-    if temperature == 0.0:
-        return w
-    x = HBAR * w / (2.0 * KB * temperature)
-    if x < 1e-4:
-        # w * coth(x) -> (2 kB T / hbar)(1 + x^2/3 - x^4/45)
-        return (2.0 * KB * temperature / HBAR) * (1.0 + x * x / 3.0 - x ** 4 / 45.0)
-    return w / math.tanh(x)
 
 
 def kernel_dr_numeric(params: SystemParams, tau: float) -> tuple[float, float]:

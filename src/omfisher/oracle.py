@@ -1,5 +1,6 @@
-"""Brute-force validators: truncated-Fock QFI, numeric classical FI and the
-Richardson coupling derivative.
+"""Brute-force validators: truncated-Fock QFI, the output double integral,
+the homodyne pdf, numeric classical FI and the Richardson coupling
+derivative.
 
 These never share code with the closed-form Fisher routes.  The Fock oracle
 holds a zero-mean Gaussian state in the number basis, truncated to photon
@@ -19,8 +20,9 @@ the state at g is thermal (sigma(g) = nu M M^T mapped through M^-1, a
 unitary on the states), so its squeeze is never truncated and the sum runs
 over photon numbers.  No eigensolver runs on a density matrix.
 
-The numeric CFI integrates (d_g ln P)^2 P over the outcome axis with
-central-difference log-derivatives.
+The output double integral is a Gauss-Legendre quadrature over the window.
+The numeric CFI integrates (d_g ln P)^2 P of the homodyne pdf over the
+outcome axis with central-difference log-derivatives.
 
 The Richardson derivative differences a matrix-valued family of g by
 central differences with one extrapolation level.  On the intracavity
@@ -38,10 +40,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (AmbiguousBranchError, ConvergenceError, DerivativeUndefinedError,
                      DomainError, NumericalError, UnphysicalStateError)
 from .fisher import FD_STEP_FLOOR, FD_STEP_REL
+from .output import MeasurementSpec, homodyne_variance
 from .params import SystemParams
 from .pipeline import PipelineSettings, cavity_covariance
 
@@ -50,6 +54,8 @@ __all__ = [
     "gaussian_to_fock",
     "qfi_fock",
     "qfi_fock_converged",
+    "output_covariance_numeric",
+    "homodyne_pdf",
     "cfi_numeric",
     "fd_step",
     "dsigma_dg",
@@ -282,6 +288,53 @@ def qfi_fock_converged(sigma_of_g: Callable[[float], np.ndarray], g: float,
             f"Fock QFI not truncation-converged: {drift:.2e} > {_FOCK_RTOL:.0e}",
             details={"n_max": n_max, "values": vals})
     return vals[1], drift
+
+
+def output_covariance_numeric(sigma_opt: np.ndarray,
+                              spec: MeasurementSpec) -> np.ndarray:
+    """Oracle: direct quadrature of the double-integral output covariance,
+
+        (k/tau) int int G(t') sigma_opt G(s')^T dt' ds'
+            + (1/tau) int G(t') G(t')^T dt',
+
+    under the stationary-sigma approximation.  The Gauss-Legendre order is
+    chosen from the phase range: 24 nodes plus three per radian.
+    """
+    sigma_opt = np.asarray(sigma_opt, dtype=float)
+    tau = spec.window
+    phase = abs(spec.omega_k) * tau
+    nodes = int(3.0 * phase) + 24
+    x, w = leggauss(nodes)
+    t = 0.5 * tau * (x + 1.0)
+    wt = 0.5 * tau * w
+
+    ang = spec.omega_k * t
+    cos_a, sin_a = np.cos(ang), np.sin(ang)
+    # int_0^tau G(t') dt' assembled from scalar quadratures
+    ic = float(np.dot(wt, cos_a))
+    isn = float(np.dot(wt, sin_a))
+    g_int = np.array([[ic, isn], [-isn, ic]])
+    cavity = (spec.kappa_meas / tau) * g_int @ sigma_opt @ g_int.T
+    # G G^T at the quadrature nodes (identically 1 for the rotation kernel)
+    vac = np.eye(2) * (float(np.dot(wt, cos_a * cos_a + sin_a * sin_a)) / tau)
+
+    out = cavity + vac
+    return 0.5 * (out + out.T)
+
+
+def homodyne_pdf(sigma_out: np.ndarray, theta: float, eta: float, k):
+    """Probability density of balanced-homodyne outcomes k at
+    local-oscillator phase theta and detector efficiency eta.
+
+    Normalized Gaussian with variance v(theta, eta).  (A common
+    transcription with prefactor (1/pi) sqrt(2 eta / V) integrates to
+    1/sqrt(pi); this density is properly normalized, which leaves the CFI
+    unchanged since log-derivatives kill constants.)
+    """
+    v = homodyne_variance(sigma_out, theta, eta)
+    k = np.asarray(k, dtype=float)
+    val = np.exp(-k * k / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+    return float(val) if val.ndim == 0 else val
 
 
 def cfi_numeric(pdf_family: Callable[[float], Callable[[np.ndarray], np.ndarray]],

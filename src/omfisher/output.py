@@ -1,4 +1,4 @@
-"""Filtered output field: covariance of the detected mode and homodyne pdf.
+"""Filtered output field: covariance of the detected mode and homodyne variance.
 
 A rectangular temporal window of length tau centered at filter frequency
 Omega_k selects one output mode.  Under the stationary-cavity approximation
@@ -12,8 +12,9 @@ maps d sigma_opt/dg to d sigma_out/dg.  The additive vacuum term is the
 identity, the input-output result (Gardiner & Collett, PRA 31, 3761
 (1985)): G(t) G(t)^T = 1 pointwise for the rotation kernel, which keeps
 the output state physical at all filter frequencies and reproduces the
-reported peak of the QFI at Omega_k = 0.  The double-integral evaluation
-used as an oracle reproduces it by direct quadrature.
+reported peak of the QFI at Omega_k = 0.  This module holds no oracle:
+the double integral that reproduces the map by direct quadrature, and the
+homodyne pdf, are in ``oracle``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 
@@ -31,8 +31,6 @@ __all__ = [
     "cavity_output_map",
     "output_map",
     "output_covariance",
-    "output_covariance_numeric",
-    "homodyne_pdf",
     "homodyne_variance",
 ]
 
@@ -92,38 +90,6 @@ def output_covariance(sigma_opt: np.ndarray, spec: MeasurementSpec) -> np.ndarra
     return 0.5 * (cav + cav.T) + np.eye(2)
 
 
-def output_covariance_numeric(sigma_opt: np.ndarray,
-                              spec: MeasurementSpec) -> np.ndarray:
-    """Oracle: direct quadrature of the double-integral output covariance,
-
-        (k/tau) int int G(t') sigma_opt G(s')^T dt' ds'
-            + (1/tau) int G(t') G(t')^T dt',
-
-    under the stationary-sigma approximation.  The Gauss-Legendre order is
-    chosen from the phase range: 24 nodes plus three per radian.
-    """
-    sigma_opt = np.asarray(sigma_opt, dtype=float)
-    tau = spec.window
-    phase = abs(spec.omega_k) * tau
-    nodes = int(3.0 * phase) + 24
-    x, w = leggauss(nodes)
-    t = 0.5 * tau * (x + 1.0)
-    wt = 0.5 * tau * w
-
-    ang = spec.omega_k * t
-    cos_a, sin_a = np.cos(ang), np.sin(ang)
-    # int_0^tau G(t') dt' assembled from scalar quadratures
-    ic = float(np.dot(wt, cos_a))
-    isn = float(np.dot(wt, sin_a))
-    g_int = np.array([[ic, isn], [-isn, ic]])
-    cavity = (spec.kappa_meas / tau) * g_int @ sigma_opt @ g_int.T
-    # G G^T at the quadrature nodes (identically 1 for the rotation kernel)
-    vac = np.eye(2) * (float(np.dot(wt, cos_a * cos_a + sin_a * sin_a)) / tau)
-
-    out = cavity + vac
-    return 0.5 * (out + out.T)
-
-
 def homodyne_variance(sigma_out: np.ndarray, theta: float, eta: float) -> float:
     """Variance of the homodyne outcome, (1 - eta + 2 eta R^T s R) / (4 eta)."""
     if not 0.0 < eta <= 1.0:
@@ -134,18 +100,3 @@ def homodyne_variance(sigma_out: np.ndarray, theta: float, eta: float) -> float:
     if v <= 0.0:
         raise DomainError(f"non-positive homodyne variance {v}")
     return v
-
-
-def homodyne_pdf(sigma_out: np.ndarray, theta: float, eta: float, k):
-    """Probability density of balanced-homodyne outcomes k at
-    local-oscillator phase theta and detector efficiency eta.
-
-    Normalized Gaussian with variance v(theta, eta).  (A common
-    transcription with prefactor (1/pi) sqrt(2 eta / V) integrates to
-    1/sqrt(pi); this density is properly normalized, which leaves the CFI
-    unchanged since log-derivatives kill constants.)
-    """
-    v = homodyne_variance(sigma_out, theta, eta)
-    k = np.asarray(k, dtype=float)
-    val = np.exp(-k * k / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
-    return float(val) if val.ndim == 0 else val

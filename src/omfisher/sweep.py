@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import asdict, dataclass
 
 from . import __version__ as _version
-from .config import SWITCHES, RunConfig
+from .config import MEASUREMENT_VARIABLES, SWITCHES, RunConfig
 from .dynamics import drift_matrix
 from .errors import (AmbiguousBranchError, ConfigError, OmfisherError,
                      UnstableDriftError)
@@ -83,7 +83,7 @@ def run_sweep(cfg: RunConfig):
     grid = cfg.sweep.grid()
 
     shared = {}
-    if variable in ("omega_k", "theta", "eta"):
+    if variable in MEASUREMENT_VARIABLES:
         # state pipeline is identical across the grid; compute once
         shared["cavity"] = cavity_covariance(base_params, settings)
         shared["dsigma_opt"] = cavity_dsigma_opt(base_params, settings, shared["cavity"])

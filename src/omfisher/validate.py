@@ -23,10 +23,9 @@ from .errors import OmfisherError
 from .fisher import cfi_bhd, qfi_gaussian, theta_max
 from .kernels import kernel_closed, kernel_dr_numeric
 from .dynamics import brownian_diffusion_freq, drift_matrix, transient_covariance
-from .oracle import (cfi_numeric, fd_step, qfi_fock_converged, richardson_dsigma_opt,
-                     sigma_opt_at)
-from .output import MeasurementSpec, homodyne_pdf, output_covariance, \
-    output_covariance_numeric, output_map
+from .oracle import (cfi_numeric, fd_step, homodyne_pdf, output_covariance_numeric,
+                     qfi_fock_converged, richardson_dsigma_opt, sigma_opt_at)
+from .output import MeasurementSpec, output_covariance, output_map
 from .params import rossi_params, steady_state
 from .pipeline import (PipelineSettings, build_measurement, cavity_covariance,
                        cavity_dsigma_opt)

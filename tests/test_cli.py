@@ -143,8 +143,10 @@ class TestConfig:
     def test_bad_sweep_variable(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[sweep]\nvariable = phase_of_moon\nstart = 0\nstop = 1\npoints = 3\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"must be one of \('omega_k', 'theta', "):
             load_config(str(path))
+        with pytest.raises(ConfigError, match="unknown sweep variable 'phase_of_moon'"):
+            RunConfig().materialize("phase_of_moon", 1.0)
 
     def test_presets_fill_sweep(self):
         cfg = load_config(None)
@@ -528,9 +530,9 @@ def test_production_path_does_not_import_scipy_integrate(tmp_path):
     scipy module is loaded by importing the package, the CLI and validate,
     nor by running one report, an omega_k sweep at eta = 1, an eta sweep
     below 1 or ``omfisher sweep``, each in a fresh process.  The oracles
-    themselves (omfisher.oracle, and omfisher.validate, which runs them)
-    are not loaded by the package, a report, a sweep or the CLI's sweep
-    command either."""
+    themselves (omfisher.oracle, omfisher.kernels, and omfisher.validate,
+    which runs them) are not loaded by the package, a report, a sweep or
+    the CLI's sweep command either."""
     head = ("import json, sys, omfisher\n"
             "from omfisher.config import apply_preset, load_config\n"
             "from omfisher.params import rossi_params\n"
@@ -550,7 +552,8 @@ def test_production_path_does_not_import_scipy_integrate(tmp_path):
                           f"'--out', {str(tmp_path / 'fig4a.csv')!r}]) == 0\n",
     }
     tail = ("print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
-            "                  [m for m in ('omfisher.oracle', 'omfisher.validate')\n"
+            "                  [m for m in ('omfisher.oracle', 'omfisher.kernels',\n"
+            "                               'omfisher.validate')\n"
             "                   if m in sys.modules]]))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     procs = {name: subprocess.Popen([sys.executable, "-c", head + body + tail],
@@ -568,15 +571,15 @@ def test_production_path_does_not_import_scipy_integrate(tmp_path):
 
 def test_only_the_validate_command_imports_the_oracles():
     """No library module other than the oracles themselves imports
-    omfisher.oracle or omfisher.validate, relatively or absolutely, at
-    module level or inside a function; the one allowed site is the CLI's
-    validate command.  Unlike the fresh-process test above, this sees the
-    imports of functions that no production path runs."""
-    oracles = {"omfisher.oracle", "omfisher.validate"}
+    omfisher.oracle, omfisher.kernels or omfisher.validate, relatively or
+    absolutely, at module level or inside a function; the one allowed site
+    is the CLI's validate command.  Unlike the fresh-process test above,
+    this sees the imports of functions that no production path runs."""
+    oracles = {"omfisher.oracle", "omfisher.kernels", "omfisher.validate"}
     sites = []
     for path in sorted((Path(__file__).resolve().parent.parent / "src" / "omfisher")
                        .glob("*.py")):
-        if path.stem in ("oracle", "validate"):
+        if path.stem in ("oracle", "kernels", "validate"):
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         parents = {child: node for node in ast.walk(tree)

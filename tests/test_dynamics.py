@@ -200,6 +200,16 @@ class TestDiffusionMatrix:
                 diff = (8.0 * (lp - lm) - (lp2 - lm2)) / (12.0 * step)
                 assert np.max(np.abs(diff - dlap) / np.abs(dlap)) < 1e-8
 
+    @pytest.mark.parametrize("temperature", [11.0, 2.5e-4, 1e-5, 0.0])
+    def test_laplace_scalar_lambda(self, temperature):
+        """A scalar lambda gives scalars with the bits of the one-element
+        list, on the Matsubara branch (T > 0) as at T = 0."""
+        p = rossi_params(temperature=temperature)
+        lam = -1e3 + 1e6j
+        for scalar, listed in zip(brownian_laplace(p, lam), brownian_laplace(p, [lam])):
+            assert np.shape(scalar) == () and listed.shape == (1,)
+            assert np.array_equal(np.reshape(scalar, 1), listed)
+
     @pytest.mark.parametrize("re, im", [(0.0, 1.0), (0.0, 0.0), (1e3, 1.0)],
                              ids=["imaginary", "zero", "right_half_plane"])
     def test_laplace_outside_its_domain_raises(self, re, im):

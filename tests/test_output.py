@@ -11,9 +11,9 @@ from scipy.integrate import quad
 from omfisher import pipeline
 from omfisher.errors import DomainError
 from omfisher.fisher import qfi_gaussian
-from omfisher.output import (MeasurementSpec, cavity_output_map, homodyne_pdf,
-                             homodyne_variance, output_covariance,
-                             output_covariance_numeric, output_map)
+from omfisher.oracle import homodyne_pdf, output_covariance_numeric
+from omfisher.output import (MeasurementSpec, cavity_output_map, homodyne_variance,
+                             output_covariance, output_map)
 from omfisher.params import rossi_params
 
 
