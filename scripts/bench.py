@@ -13,10 +13,11 @@ timed with time.perf_counter in this one process:
   1e-5 K and 2.5e-4 K, the baseline point cooled until the Matsubara sum
   and the continued fraction of e^w E1(w) take many arguments;
 - oracle stages, max(1, N // 40) calls each after one warm-up call:
-  qfi_fock_converged (n_max = 1000, then 1020) on validate's thermal
-  (nu = 25) and squeezed-thermal (nu = 25, r = 0.15) families with
-  validate's steps, and the frequency-domain Brownian diffusion and the
-  transient covariance at the baseline point;
+  qfi_fock_converged at its default truncation (n_max = 863, then 883) on
+  validate's thermal (nu = 25) and squeezed-thermal (nu = 25, r = 0.15)
+  families with validate's steps, and the frequency-domain Brownian
+  diffusion (adaptive Gauss-Legendre panels, one batched solve per round)
+  and the transient covariance at the baseline point;
 - end-to-end cases: the fig1, fig2, fig4a and fig5 preset sweeps and one
   full validate(), each max(1, N // 40) times;
 - the import case: max(1, N // 40) fresh processes, each importing

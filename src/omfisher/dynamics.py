@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .constants import HBAR, KB
@@ -58,6 +59,8 @@ _E1 = np.array([0.0, 1.0, 0.0, 0.0])
 _MAX_TERMS = 1 << 16
 # relative error budget of the Brownian diffusion
 _DIFFUSION_TOL = 1e-7
+# panel cap of brownian_diffusion_freq's adaptive quadrature
+_FREQ_MAX_PANELS = 2000
 # Bernoulli numbers B_2..B_24 as exact (numerator, denominator) pairs
 BERNOULLI_2K = (
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
@@ -321,8 +324,8 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix) -> DiffusionMatrix:
     The half-weight endpoint convention for the delta noise puts exactly
     kappa/2 on the optical diagonal, reproducing the g = 0 optical vacuum.
     The error estimate is 2 |du| / ||D||, with du bounded by the truncation
-    bound of brownian_laplace, or by quad_vec's estimate when cond(V) >= 1e10
-    hands u to the frequency-domain integral.  L and L' at the drift
+    bound of brownian_laplace, or by the panel errors of the frequency-domain
+    integral when cond(V) >= 1e10 hands u to it.  L and L' at the drift
     eigenvalues are evaluated on both paths and kept for the coupling
     derivative.
     """
@@ -353,51 +356,77 @@ def diffusion_matrix(params: SystemParams, a: DriftMatrix) -> DiffusionMatrix:
                            path=path, laplace=lap, dlaplace=dlap)
 
 
-def _w_coth(w: float, temperature: float) -> float:
-    """w coth(hbar w / (2 kB T)), the thermal weight of the symmetric
-    kernel; w at T = 0, and its small-x series where the coth form loses
-    accuracy."""
+def _w_coth(w, temperature: float):
+    """w coth(hbar w / (2 kB T)) of a float w, or elementwise of an array of
+    positive w, the thermal weight of the symmetric kernel; w at T = 0, and
+    its small-x series where the coth form loses accuracy."""
     if temperature == 0.0:
         return w
-    x = HBAR * w / (2.0 * KB * temperature)
-    if x < 1e-4:
-        # w * coth(x) -> (2 kB T / hbar)(1 + x^2/3 - x^4/45)
-        return (2.0 * KB * temperature / HBAR) * (1.0 + x * x / 3.0 - x ** 4 / 45.0)
-    return w / math.tanh(x)
+    x, w_t = HBAR * w / (2.0 * KB * temperature), 2.0 * KB * temperature / HBAR
+    # w * coth(x) -> (2 kB T / hbar)(1 + x^2/3 - x^4/45)
+    series = lambda x: w_t * (1.0 + x * x / 3.0 - x ** 4 / 45.0)  # noqa: E731
+    if isinstance(x, float):  # numpy's scalars too
+        return series(x) if x < 1e-4 else w / math.tanh(x)
+    # the series clipped where it is not taken, so that x^4 cannot overflow
+    return np.where(x < 1e-4, series(np.minimum(x, 1e-4)), w / np.tanh(x))
 
 
 def brownian_diffusion_freq(params: SystemParams, a: DriftMatrix):
     """Frequency-domain evaluation of the Brownian block (oracle and
     ill-conditioned-eigenbasis path).  Uses int_0^inf cos(w tau) exp(A tau)
     dtau = -Re (A + i w)^(-1) to turn the tau integral into a smooth
-    spectral integral with a narrow feature at the mechanical resonance,
-    solved at each node by LAPACK zgesv on a copy of the complex drift.
-    Returns the block e1 u^T + u e1^T and quad_vec's error estimate of u
-    at relative tolerance 1e-10.
+    spectral integral with a narrow feature at the mechanical resonance.
+
+    u is integrated over [0, 60 W], split at omega_m, |Delta0| and kappa, on
+    globally adaptive panels (Piessens et al., QUADPACK, Springer 1983): a
+    panel's value is its 10-point Gauss-Legendre rule summed over its two
+    halves, its error the gap to the rule over the whole panel.  While the
+    errors add up to more than 1e-10 |u|, each panel above its equal share
+    of that budget is halved; a round's nodes take one batched
+    np.linalg.solve on the stack of A + i w.  Returns the block
+    e1 u^T + u e1^T and the summed error of u.
     """
-    from scipy.integrate import quad_vec  # see kernels.kernel_dr_numeric
-    from scipy.linalg.lapack import zgesv
+    T, W = params.temperature, params.cutoff
+    pref = 4.0 * params.gamma / (math.pi * params.omega_m)
+    nodes, weights = leggauss(10)
+    a_c = a.matrix_scaled.astype(complex)
 
-    m, wm, gam, T, W = (params.mass, params.omega_m, params.gamma,
-                        params.temperature, params.cutoff)
-    pref = 2.0 * m * gam / math.pi
-    a_c = np.asfortranarray(a.matrix_scaled, dtype=complex)
-    e1 = _E1.astype(complex)
-
-    def integrand(w):
-        f = pref * _w_coth(w, T) * math.exp(-w / W) * (2.0 / (m * wm))
-        shifted = a_c.copy(order="F")
-        shifted.flat[::5] += 1j * w  # the diagonal of the 4x4
-        _, _, r, info = zgesv(shifted, e1, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zgesv info {info} at w = {w}")
-        return -f * r.real
+    def rule(lo, hi):
+        """The Gauss-Legendre sums of the integrand over the panels [lo, hi]."""
+        half = 0.5 * (hi - lo)
+        w = ((lo + half)[:, None] + half[:, None] * nodes).ravel()
+        r = np.linalg.solve(a_c + 1j * w[:, None, None] * np.eye(4), _E1[:, None])
+        f = -pref * _w_coth(w, T) * np.exp(-w / W)
+        vals = (f[:, None] * r[..., 0].real).reshape(lo.size, nodes.size, 4)
+        return half[:, None] * (weights @ vals)
 
     upper = 60.0 * W
-    pts = [p for p in (wm, abs(params.delta0), params.kappa) if 0 < p < upper]
-    u, err = quad_vec(integrand, 0.0, upper, epsrel=1e-10, epsabs=0.0,
-                      points=sorted(set(pts)), limit=2000)
-    return np.outer(_E1, u) + np.outer(u, _E1), float(err)
+    edges = sorted({0.0, upper} | {p for p in (params.omega_m, abs(params.delta0),
+                                               params.kappa) if 0 < p < upper})
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    coarse = rule(lo, hi)
+    # settled panels: (lo, hi), the rule on each half, the error
+    bounds, halves, errors = np.empty((0, 2)), np.empty((0, 2, 4)), np.empty(0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        new = rule(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        new = new.reshape(2, lo.size, 4).swapaxes(0, 1)
+        err = np.linalg.norm(new.sum(axis=1) - coarse, axis=1)
+        bounds = np.concatenate([bounds, np.stack([lo, hi], axis=1)])
+        halves, errors = np.concatenate([halves, new]), np.concatenate([errors, err])
+        u = halves.sum(axis=(0, 1))
+        scale = float(np.linalg.norm(u))
+        if errors.sum() <= 1e-10 * scale:
+            return np.outer(_E1, u) + np.outer(u, _E1), float(errors.sum())
+        split = ~(errors <= 1e-10 * scale / errors.size)  # NaN: split to the cap
+        if errors.size + np.count_nonzero(split) > _FREQ_MAX_PANELS:
+            rel = float(errors.sum()) / (scale + 1e-300)
+            raise QuadratureError(f"frequency-domain diffusion error {rel:.3e} of |u| "
+                                  f"at the cap of {_FREQ_MAX_PANELS} panels", estimate=rel)
+        (lo, hi), mid = bounds[split].T, bounds[split].mean(axis=1)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        coarse = np.concatenate([halves[split, 0], halves[split, 1]])
+        bounds, halves, errors = bounds[~split], halves[~split], errors[~split]
 
 
 def lyapunov_solve(a: DriftMatrix, d: np.ndarray):

@@ -66,6 +66,8 @@ __all__ = [
 _SLD_EPS = 1e-12
 # largest relative QFI change allowed under the n_max -> n_max + 20 bump
 _FOCK_RTOL = 1e-4
+# largest thermal tail mass the default truncation leaves at the centre
+_FOCK_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,14 @@ class FockState:
 
 
 def default_n_max(nu: float) -> int:
-    """Truncation heuristic for a state of symplectic eigenvalue
-    nu = sqrt(det sigma): 80 up to nu = 3, then 40 nu."""
-    return 80 if nu <= 3.0 else int(math.ceil(40.0 * nu))
+    """The smallest N >= 80 whose thermal tail (nbar/(nbar+1))^(N+1) beyond
+    photon number N, nbar = nu - 1/2, is at most _FOCK_TAIL at a centre of
+    nu = sqrt(det sigma).  The floor stands in for the +-h states' squeeze
+    relative to the centre, which that tail cannot see."""
+    nbar = nu - 0.5
+    if nbar <= 0.0:
+        return 80
+    return max(80, math.ceil(math.log(_FOCK_TAIL) / -math.log1p(1.0 / nbar)) - 1)
 
 
 def _symplectic_factor(sigma: np.ndarray) -> tuple[float, float, float]:

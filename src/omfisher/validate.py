@@ -23,8 +23,9 @@ from .errors import OmfisherError
 from .fisher import cfi_bhd, qfi_gaussian, theta_max
 from .kernels import kernel_closed, kernel_dr_numeric
 from .dynamics import brownian_diffusion_freq, drift_matrix, transient_covariance
-from .oracle import (cfi_numeric, fd_step, homodyne_pdf, output_covariance_numeric,
-                     qfi_fock_converged, richardson_dsigma_opt, sigma_opt_at)
+from .oracle import (cfi_numeric, default_n_max, fd_step, homodyne_pdf,
+                     output_covariance_numeric, qfi_fock_converged,
+                     richardson_dsigma_opt, sigma_opt_at)
 from .output import MeasurementSpec, output_covariance, output_map
 from .params import rossi_params, steady_state
 from .pipeline import (PipelineSettings, build_measurement, cavity_covariance,
@@ -190,11 +191,12 @@ def _suite_qfi(tol: float) -> list[CheckResult]:
     # thermal family sigma(g) = (nu0 + g) I
     nu0 = 25.0
     fam = lambda g: np.eye(2) * (nu0 + g)
-    fock, drift = qfi_fock_converged(fam, 0.0, h=1e-3)
+    n_max = default_n_max(nu0)
+    fock, drift = qfi_fock_converged(fam, 0.0, h=1e-3, n_max=n_max)
     formula = qfi_gaussian(fam(0.0), np.eye(2))
     rel = abs(formula - fock) / abs(fock)
     results.append(CheckResult("qfi", f"thermal family (nu={nu0})", rel <= tol,
-                               rel, tol, f"truncation drift {drift:.1e}"))
+                               rel, tol, f"n_max = {n_max}, truncation drift {drift:.1e}"))
 
     # squeezed-thermal family: squeeze angle and strength vary with g
     nu0, r0 = 25.0, 0.15
@@ -208,22 +210,24 @@ def _suite_qfi(tol: float) -> list[CheckResult]:
         return rot @ core @ rot.T
 
     h = 1e-4
-    fock, drift = qfi_fock_converged(sq_fam, 0.0, h=h)
+    fock, drift = qfi_fock_converged(sq_fam, 0.0, h=h, n_max=n_max)
     dsig = (sq_fam(h) - sq_fam(-h)) / (2 * h)
     formula = qfi_gaussian(sq_fam(0.0), dsig)
     rel = abs(formula - fock) / abs(fock)
     results.append(CheckResult("qfi", f"squeezed-thermal family (nu={nu0}, r={r0})",
-                               rel <= tol, rel, tol, f"truncation drift {drift:.1e}"))
+                               rel <= tol, rel, tol,
+                               f"n_max = {n_max}, truncation drift {drift:.1e}"))
 
     # baseline output state: the full pipeline family
     g0, sig, dsig, pipe = _rossi_output_state()
-    fock, drift = qfi_fock_converged(pipe, g0, h=fd_step(g0))
+    nu = math.sqrt(np.linalg.det(sig))
+    fock, drift = qfi_fock_converged(pipe, g0, h=fd_step(g0), n_max=default_n_max(nu))
     formula = qfi_gaussian(sig, dsig)
     rel = abs(formula - fock) / abs(fock)
     results.append(CheckResult(
         "qfi", "baseline output state", rel <= tol, rel, tol,
-        f"truncation drift {drift:.1e}; exact single-mode formula at "
-        f"nu = {math.sqrt(np.linalg.det(sig)):.3f}"))
+        f"n_max = {default_n_max(nu)}, truncation drift {drift:.1e}; exact "
+        f"single-mode formula at nu = {nu:.3f}"))
     return results
 
 

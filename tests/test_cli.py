@@ -525,14 +525,16 @@ class TestCli:
 
 
 def test_production_path_does_not_import_scipy_integrate(tmp_path):
-    """scipy serves only validate's oracles (the kernel and frequency-domain
-    quadratures, the transient oracle's expm and the Fock oracle), so no
-    scipy module is loaded by importing the package, the CLI and validate,
-    nor by running one report, an omega_k sweep at eta = 1, an eta sweep
-    below 1 or ``omfisher sweep``, each in a fresh process.  The oracles
-    themselves (omfisher.oracle, omfisher.kernels, and omfisher.validate,
-    which runs them) are not loaded by the package, a report, a sweep or
-    the CLI's sweep command either."""
+    """scipy serves only validate's oracles (the kernel quadrature, the
+    transient oracle's expm and the Fock oracle), so no scipy module is
+    loaded by importing the package, the CLI and validate, nor by running
+    one report, an omega_k sweep at eta = 1, an eta sweep below 1,
+    ``omfisher sweep`` or the frequency-domain diffusion that an
+    ill-conditioned drift eigenbasis (cond(V) >= 1e10, built like
+    test_dynamics' _near_defective) falls back to, each in a fresh process.
+    The oracles themselves (omfisher.oracle, omfisher.kernels, and
+    omfisher.validate, which runs them) are not loaded by the package, a
+    report, a sweep, the CLI's sweep command or that fallback either."""
     head = ("import json, sys, omfisher\n"
             "from omfisher.config import apply_preset, load_config\n"
             "from omfisher.params import rossi_params\n"
@@ -550,6 +552,15 @@ def test_production_path_does_not_import_scipy_integrate(tmp_path):
         "omfisher sweep": "import omfisher.cli\n"
                           "assert omfisher.cli.main(['sweep', '--preset', 'fig4a', "
                           f"'--out', {str(tmp_path / 'fig4a.csv')!r}]) == 0\n",
+        "frequency fallback":
+            "import numpy as np\n"
+            "from omfisher.dynamics import DriftMatrix, diffusion_matrix, drift_matrix\n"
+            "from omfisher.params import steady_state\n"
+            "p = rossi_params()\n"
+            "m = np.zeros((4, 4))\n"
+            "m[0, 0], m[0, 1], m[1, 1] = -p.omega_m, p.omega_m, -p.omega_m * (1 + 1e-12)\n"
+            "m[2:, 2:] = drift_matrix(p, steady_state(p)).matrix_scaled[2:, 2:]\n"
+            "assert diffusion_matrix(p, DriftMatrix(matrix_scaled=m)).path == 'frequency'\n",
     }
     tail = ("print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
             "                  [m for m in ('omfisher.oracle', 'omfisher.kernels',\n"

@@ -164,7 +164,7 @@ class TestDiffusionMatrix:
     def test_ill_conditioned_eigenbasis_uses_frequency_path(self, rossi_point):
         """A near-defective mechanical block (double pole split by 1e-12)
         sends u to the frequency-domain integral; the reported error is the
-        one quad_vec returned."""
+        one its panels returned."""
         p, _, a, _ = rossi_point
         drift = _near_defective(p, a)
         assert np.linalg.cond(np.linalg.eig(drift.matrix_scaled)[1]) >= 1e10
@@ -176,15 +176,67 @@ class TestDiffusionMatrix:
         assert np.array_equal(d.matrix_scaled[:2, :2], brown_f[:2, :2])
 
     def test_singular_frequency_node_raises(self, rossi_point, monkeypatch):
-        """A node whose shifted drift LAPACK reports singular (info > 0)
-        raises LinAlgError rather than integrate zgesv's unfinished
-        solution."""
-        import scipy.linalg.lapack as lapack
+        """A node w0 where A + i w0 is singular makes the batched solve raise
+        LinAlgError rather than integrate an unfinished solution.  w0 is
+        the first node the solve is handed at the baseline; a drift whose
+        first row and column vanish but for A_00 = -i w0 gives A + i w0 a
+        zero first column there, and the nodes depend on params alone."""
         p, _, a, _ = rossi_point
-        monkeypatch.setattr(lapack, "zgesv",
-                            lambda m, b, overwrite_a=0: (m, None, b.copy(), 1))
+        stacks, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda m, b: stacks.append(m) or solve(m, b))
+        brownian_diffusion_freq(p, a)
+        monkeypatch.undo()
+        w0 = stacks[0][0, 0, 0].imag  # A_00 = 0 at the baseline
+        m = a.matrix_scaled.astype(complex)
+        m[0, :] = m[:, 0] = 0.0
+        m[0, 0] = -1j * w0
         with pytest.raises(np.linalg.LinAlgError):
+            brownian_diffusion_freq(p, DriftMatrix(matrix_scaled=m))
+
+    def test_frequency_panel_cap_raises(self, rossi_point, monkeypatch):
+        """A round that would pass the panel cap raises QuadratureError with
+        the relative error reached as its estimate, the cap in the message."""
+        import omfisher.dynamics as dyn
+        p, _, a, _ = rossi_point
+        monkeypatch.setattr(dyn, "_FREQ_MAX_PANELS", 8)
+        with pytest.raises(QuadratureError, match="cap of 8 panels") as info:
             brownian_diffusion_freq(p, a)
+        assert 1e-10 < info.value.estimate < math.inf
+        assert f"error {info.value.estimate:.3e}" in str(info.value)
+
+    @pytest.mark.parametrize("point", [
+        {}, {"gamma": TWO_PI * 1300.0}, {"temperature": 0.5},
+        {"kappa_in": TWO_PI * 18.5e6, "kappa_loss": TWO_PI * 18.5e6},
+        {"g_freq": TWO_PI * 258.0}, {"temperature": 0.0}, {"temperature": 1e-5},
+        {"delta0": -3e10}], ids=["baseline", "10 gamma0", "0.5 K", "2 kappa", "2 g0",
+                                 "T = 0", "1e-5 K", "far detuned"])
+    def test_frequency_panels_match_quad_vec(self, point):
+        """The panel quadrature against scipy's quad_vec (epsrel 1e-12, the
+        same breakpoints, the same thermal weight) at validate's five
+        transient points, T = 0, 1e-5 K and far detuning: within 1e-11 of
+        the block's norm, and its error estimate covers the gap in u."""
+        from scipy.integrate import quad_vec
+        from omfisher.dynamics import _w_coth
+        p = rossi_params(**point)
+        a = drift_matrix(p, steady_state(p))
+        pref = 4.0 * p.gamma / (math.pi * p.omega_m)
+
+        def integrand(w):
+            r = np.linalg.solve(a.matrix_scaled + 1j * w * np.eye(4), np.eye(4)[1])
+            weight = float(_w_coth(w, p.temperature)) * math.exp(-w / p.cutoff)
+            return -pref * weight * r.real
+
+        upper = 60.0 * p.cutoff
+        breaks = sorted({x for x in (p.omega_m, abs(p.delta0), p.kappa) if 0 < x < upper})
+        u_ref, _ = quad_vec(integrand, 0.0, upper, epsrel=1e-12, epsabs=0.0,
+                            points=breaks, limit=5000)
+        brown, err = brownian_diffusion_freq(p, a)
+        e1 = np.eye(4)[1]
+        brown_ref = np.outer(e1, u_ref) + np.outer(u_ref, e1)
+        assert np.linalg.norm(brown - brown_ref) <= 1e-11 * np.linalg.norm(brown_ref)
+        u = brown[1] - 0.5 * brown[1, 1] * e1
+        assert err >= np.linalg.norm(u - u_ref)
 
     def test_laplace_derivative_matches_differences(self):
         """dL/dlambda (f' = -g, g' = f - 1/z) against a 4-point difference

@@ -148,7 +148,21 @@ class TestGaussianToFock:
 
     def test_truncation_heuristic(self):
         assert default_n_max(1.0) == 80
-        assert default_n_max(10.0) == 400
+        assert default_n_max(10.0) == 345
+
+    def test_truncation_follows_the_thermal_tail(self):
+        """The default n_max is the smallest N whose thermal tail
+        (nbar/(nbar+1))^(N+1), nbar = nu - 1/2, is at most 1e-15, floored at
+        80: non-decreasing in nu, with no jump at nu = 3, where sigma = 3 I
+        gives det = 9.000000000000002."""
+        grid = np.linspace(0.3, 60.0, 3000)
+        n_maxes = [default_n_max(float(nu)) for nu in grid]
+        assert np.all(np.diff(n_maxes) >= 0) and min(n_maxes) == 80
+        assert default_n_max(3.0) == default_n_max(3.0 * (1 + 2 ** -52))
+        for nu, n in zip(grid, n_maxes):
+            if n > 80:
+                q = (nu - 0.5) / (nu + 0.5)
+                assert q ** (n + 1) <= 1e-15 < q ** n, nu
 
     def test_factors_are_the_eigendecomposition(self):
         """The SLD sum runs in the basis the construction gives: each parity
@@ -368,8 +382,9 @@ class TestQfiFock:
         h = 0.5
         q, _ = qfi_fock_converged(fam, 0.0, h)
         assert calls == [-h, 0.0, h]
-        # nu = 5 at g sets 200; the +-h states, at nu = 5.5, would take 220
-        assert n_maxes == [[200] * 3, [220] * 3]
+        # nu = 5 at g sets 172, bumped to 192; the +-h states, at nu = 5.5,
+        # would set 189
+        assert n_maxes == [[172] * 3, [192] * 3]
         assert q == 0.0
 
     @pytest.mark.parametrize("d", [-1.0, 0.1], ids=["det<0", "det<1/4"])
